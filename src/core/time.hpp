@@ -62,10 +62,11 @@ inline constexpr double kTimeEpsilon = 1e-9;
 /// the re-execution rule for no real gain.
 inline constexpr double kDecisionMargin = 1e-6;
 
-/// Tolerance for *amounts* (remaining work / communication). Strictly
-/// smaller than kTimeEpsilon so that the validator's quantity checks
-/// (tolerant at kTimeEpsilon) always accept an activity the engine
-/// considered complete.
+/// Tolerance for *amounts* (remaining work / communication): the engine
+/// declares an activity complete once its remaining amount drops to this.
+/// It is not tied to kTimeEpsilon (which is smaller); the validator's
+/// quantity checks accept the resulting shortfall through their own slack,
+/// kQuantitySlack = 10 * kAmountEpsilon (core/validate.cpp).
 inline constexpr double kAmountEpsilon = 1e-7;
 
 /// True when a remaining amount of work/communication is exhausted.

@@ -2,40 +2,6 @@
 
 namespace ecs {
 
-std::pair<int, Time> best_target_sticky(const Platform& platform,
-                                        const ResourceClock& clock,
-                                        const JobFields& f) {
-  // Candidate order matters: the current allocation is evaluated first and
-  // other targets must be *strictly* better (beyond tolerance) to win.
-  int best_target = kAllocEdge;
-  Time best = kTimeInfinity;
-  const auto consider = [&](int target) {
-    const Time done = clock.project(platform, f, target);
-    if (done < best - kDecisionMargin) {
-      best = done;
-      best_target = target;
-    }
-  };
-  if (f.alloc != kAllocUnassigned) {
-    best_target = f.alloc;
-    best = clock.project(platform, f, f.alloc);
-    if (f.alloc != kAllocEdge) consider(kAllocEdge);
-  } else {
-    consider(kAllocEdge);
-  }
-  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
-    if (k == f.alloc) continue;
-    consider(k);
-  }
-  return {best_target, best};
-}
-
-std::pair<int, Time> best_target_sticky(const Platform& platform,
-                                        const ResourceClock& clock,
-                                        const JobState& state) {
-  return best_target_sticky(platform, clock, fields_of(state));
-}
-
 void list_assign_directives(const SimView& view,
                             const std::vector<OrderedJob>& order,
                             ResourceClock& clock,
@@ -51,7 +17,7 @@ void list_assign_directives(const SimView& view,
   double priority = 0.0;
   for (const OrderedJob& entry : order) {
     const JobFields f = view.fields(entry.id);
-    const auto [target, done] = best_target_sticky(platform, clock, f);
+    const auto [target, done] = clock.best_target_sticky(platform, f);
     (void)done;
     const bool immediate = clock.starts_now(platform, f, target, now);
     clock.commit(platform, f, target);
@@ -77,6 +43,26 @@ void sort_ordered(std::vector<OrderedJob>& order) {
             [](const OrderedJob& a, const OrderedJob& b) {
               return a.key != b.key ? a.key < b.key : a.id < b.id;
             });
+}
+
+void snapshot_pick_options(const SimView& view,
+                           std::vector<PickOption>& out) {
+  const Instance& instance = view.instance();
+  const Time now = view.now();
+  out.clear();
+  for (const JobId id : view.live_jobs()) {
+    PickOption& option = out.emplace_back();
+    option.f = view.fields(id);
+    // Continuing costs the same whether the target is named f.alloc or
+    // kTargetKeep: both resolve to the job's own allocation.
+    if (option.f.alloc != kAllocUnassigned) {
+      option.keep =
+          uncontended_completion(instance, option.f, option.f.alloc, now);
+    }
+    if (option.f.alloc != kAllocEdge) {
+      option.edge = uncontended_completion(instance, option.f, kAllocEdge, now);
+    }
+  }
 }
 
 int pick_fresh_cloud(const SimView& view,

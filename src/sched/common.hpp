@@ -11,17 +11,6 @@
 
 namespace ecs {
 
-/// Picks the target minimizing the projected completion of the job against
-/// `clock`, preferring the job's current allocation on ties (so that a
-/// policy that is merely re-confirming its decisions never discards
-/// progress through the re-execution rule). The JobFields overload is
-/// primary (field-view hot path); the JobState form wraps it.
-[[nodiscard]] std::pair<int, Time> best_target_sticky(
-    const Platform& platform, const ResourceClock& clock, const JobFields& f);
-[[nodiscard]] std::pair<int, Time> best_target_sticky(
-    const Platform& platform, const ResourceClock& clock,
-    const JobState& state);
-
 /// True when the event batch contains a job release.
 [[nodiscard]] bool contains_release(const std::vector<Event>& events);
 
@@ -41,6 +30,35 @@ void sort_ordered(std::vector<OrderedJob>& order);
 /// Shared by the Greedy and SRPT pick loops.
 [[nodiscard]] int pick_fresh_cloud(const SimView& view,
                                    const std::vector<char>& cloud_free);
+
+/// One live job with its uncontended completion estimates, cached for the
+/// Greedy and SRPT pick loops: each (job, target) estimate is computed once
+/// per decide(), not once per scan of the candidates.
+struct PickOption {
+  JobFields f;
+  Time keep = kTimeInfinity;   ///< continue on f.alloc (also as kTargetKeep)
+  Time edge = kTimeInfinity;   ///< restart on the origin edge
+  Time fresh = kTimeInfinity;  ///< restart on cloud `fresh_cloud`
+  int fresh_cloud = -1;        ///< cloud `fresh` holds; -1: not computed
+};
+
+/// Fills `out` with the live jobs in live-set order, each with its keep
+/// estimate (when allocated) and its edge estimate (when not on the edge).
+/// Fresh-cloud estimates are left to fresh_estimate().
+void snapshot_pick_options(const SimView& view, std::vector<PickOption>& out);
+
+/// Uncontended completion of a fresh restart on `cloud`, recomputed only
+/// when `cloud` is not the one cached — i.e. after the fastest free cloud
+/// changed.
+[[nodiscard]] inline Time fresh_estimate(const SimView& view,
+                                         PickOption& option, int cloud) {
+  if (option.fresh_cloud != cloud) {
+    option.fresh =
+        uncontended_completion(view.instance(), option.f, cloud, view.now());
+    option.fresh_cloud = cloud;
+  }
+  return option.fresh;
+}
 
 /// Exponential doubling followed by bisection for the smallest stretch
 /// accepted by `feasible`, starting from the lower bound `lo`, to relative

@@ -26,11 +26,11 @@ void GreedyPolicy::decide(const SimView& view,
                           std::vector<Directive>& out) {
   (void)events;  // Greedy recomputes its choices from scratch at each event.
   const Platform& platform = view.platform();
-  const Time now = view.now();
 
-  const std::span<const JobId> live = view.live_jobs();
-  std::vector<JobId>& candidates = candidates_;
-  candidates.assign(live.begin(), live.end());
+  // Every estimate a scan compares is computed once per decide(): keep and
+  // edge here, fresh-cloud lazily (it changes only when a cloud is claimed).
+  std::vector<PickOption>& candidates = candidates_;
+  snapshot_pick_options(view, candidates);
   std::vector<char>& edge_free = edge_free_;
   std::vector<char>& cloud_free = cloud_free_;
   edge_free.assign(static_cast<std::size_t>(platform.edge_count()), 1);
@@ -39,8 +39,10 @@ void GreedyPolicy::decide(const SimView& view,
   std::vector<Directive>& directives = out;
   directives.reserve(directives.size() + candidates.size());
   double priority = 0.0;
+  int fresh = pick_fresh_cloud(view, cloud_free);
 
-
+  // A linear scan in candidate order, not a heap: the tie rule below
+  // depends on scan order and is not transitive.
   while (!candidates.empty()) {
     // For each unselected job: the minimum stretch achievable on a still
     // available resource, starting right now.
@@ -49,21 +51,20 @@ void GreedyPolicy::decide(const SimView& view,
     std::size_t best_pos = candidates.size();
     int best_resource = kAllocUnassigned;
     ReasonCode best_reason = ReasonCode::kGreedyBestStretch;
-    const int fresh = pick_fresh_cloud(view, cloud_free);
 
     for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-      const JobFields s = view.fields(candidates[pos]);
+      PickOption& option = candidates[pos];
+      const JobFields& s = option.f;
+      // best_time is the engine's Platform::best_time(job): the same
+      // denominator stretch_of() would recompute.
+      const auto stretch_of_done = [&](Time done) {
+        return (done - s.job->release) / s.best_time;
+      };
       double min_stretch = std::numeric_limits<double>::infinity();
       int argmin = kAllocUnassigned;
       double keep_stretch = std::numeric_limits<double>::infinity();
-      const auto stretch_on = [&](int target) {
-        const Time done = uncontended_completion(
-            view.instance(), s, target == kTargetKeep ? s.alloc : target,
-            now);
-        return stretch_of(platform, *s.job, done);
-      };
-      const auto consider = [&](int target) {
-        const double stretch = stretch_on(target);
+      const auto consider = [&](int target, Time done) {
+        const double stretch = stretch_of_done(done);
         if (stretch < min_stretch - kDecisionMargin) {
           min_stretch = stretch;
           argmin = target;
@@ -78,14 +79,16 @@ void GreedyPolicy::decide(const SimView& view,
             s.alloc == kAllocEdge ? edge_free[s.job->origin] != 0
                                   : cloud_free[s.alloc] != 0;
         keep_target = own_free ? s.alloc : kTargetKeep;
-        keep_stretch = stretch_on(keep_target);
+        keep_stretch = stretch_of_done(option.keep);
         min_stretch = keep_stretch;
         argmin = keep_target;
       }
       if (edge_free[s.job->origin] && s.alloc != kAllocEdge) {
-        consider(kAllocEdge);
+        consider(kAllocEdge, option.edge);
       }
-      if (fresh >= 0 && fresh != s.alloc) consider(fresh);
+      if (fresh >= 0 && fresh != s.alloc) {
+        consider(fresh, fresh_estimate(view, option, fresh));
+      }
       if (argmin == kAllocUnassigned) continue;  // nothing available for it
       // Moving away from the current allocation discards progress; demand
       // a real improvement, not a near-tie (see kSwitchMargin).
@@ -116,14 +119,15 @@ void GreedyPolicy::decide(const SimView& view,
     }
 
     if (best_pos == candidates.size()) break;  // no job can be placed
-    const JobId chosen = candidates[best_pos];
+    const Job& chosen = *candidates[best_pos].f.job;
     directives.push_back(
-        Directive{chosen, best_resource, priority, best_reason});
+        Directive{chosen.id, best_resource, priority, best_reason});
     priority += 1.0;
     if (best_resource == kAllocEdge) {
-      edge_free[view.fields(chosen).job->origin] = 0;
+      edge_free[chosen.origin] = 0;
     } else if (best_resource != kTargetKeep) {
       cloud_free[best_resource] = 0;
+      fresh = pick_fresh_cloud(view, cloud_free);
     }
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best_pos));
   }

@@ -27,7 +27,7 @@ class GreedyPolicy final : public Policy {
 
  private:
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  std::vector<JobId> candidates_;
+  std::vector<PickOption> candidates_;
   std::vector<char> edge_free_;
   std::vector<char> cloud_free_;
 };

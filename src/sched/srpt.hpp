@@ -40,7 +40,7 @@ class SrptPolicy final : public Policy {
  private:
   SrptConfig config_;
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  std::vector<JobId> candidates_;
+  std::vector<PickOption> candidates_;
   std::vector<char> edge_free_;
   std::vector<char> cloud_free_;
 };

@@ -33,7 +33,7 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch,
   bool ok = true;
   for (const OrderedJob& e : entries_) {
     const JobFields s = view.fields(e.id);
-    const auto [target, done] = best_target_sticky(platform, clock_, s);
+    const auto [target, done] = clock_.best_target_sticky(platform, s);
     clock_.commit(platform, s, target);
     if (time_gt(done, e.key)) {
       ok = false;  // short-circuit: one missed deadline sinks the candidate

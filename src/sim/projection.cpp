@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
 namespace ecs {
@@ -51,6 +53,16 @@ Time advance_through_outages(const IntervalSet* outages, Time start,
   }
   return cursor + left;
 }
+
+namespace {
+
+/// advance_through_outages with the outage-free case inlined (same values).
+inline Time run_leg(const IntervalSet* outages, Time start, double duration) {
+  if (outages == nullptr) return duration <= 0.0 ? start : start + duration;
+  return advance_through_outages(outages, start, duration);
+}
+
+}  // namespace
 
 Time uncontended_completion(const Platform& platform, const JobFields& f,
                             int target, Time now) {
@@ -141,6 +153,9 @@ void ResourceClock::bind(const Platform& platform, Time now) {
   size_lane(cloud_cpu_, clouds);
   size_lane(cloud_send_, clouds);
   size_lane(cloud_recv_, clouds);
+  const std::vector<double>& speeds = platform.cloud_speeds();
+  uniform_clouds_ = std::adjacent_find(speeds.begin(), speeds.end(),
+                                       std::not_equal_to<>()) == speeds.end();
   outages_ = nullptr;
   epoch_ = 0;
   reset(now);
@@ -166,39 +181,41 @@ void ResourceClock::reset(Time now) noexcept {
   }
 }
 
+ResourceClock::Projection ResourceClock::cloud_legs(
+    std::size_t kc, const IntervalSet* outages, double up, double exec_time,
+    double down, Time edge_send, Time edge_recv) const {
+  Projection p{};
+  // An already-uploaded job (up == 0) has no uplink leg: it must not
+  // inherit delays from other jobs' committed uplinks on the same ports
+  // (commit() guards the port clocks the same way).
+  const Time cursor =
+      up > 0.0 ? std::max(edge_send, rd(cloud_recv_, kc)) : now_;
+  p.up_end = run_leg(outages, cursor, up);
+  p.exec_end =
+      run_leg(outages, std::max(p.up_end, rd(cloud_cpu_, kc)), exec_time);
+  p.done = down > 0.0
+               ? run_leg(outages,
+                         std::max({p.exec_end, rd(cloud_send_, kc), edge_recv}),
+                         down)
+               : p.exec_end;
+  return p;
+}
+
 ResourceClock::Projection ResourceClock::project_detail(
     const Platform& platform, const JobFields& f, int target) const {
   const RemainingAmounts rem = remaining_on(f, target);
   const auto o = static_cast<std::size_t>(f.job->origin);
-  Projection p{};
   if (target == kAllocEdge) {
+    Projection p{};
     p.up_end = rd(edge_cpu_, o);
     p.exec_end =
         rd(edge_cpu_, o) + rem.work / platform.edge_speed(f.job->origin);
     p.done = p.exec_end;
     return p;
   }
-  const CloudId k = target;
-  const auto kc = static_cast<std::size_t>(k);
-  const IntervalSet* outages = outages_of(k);
-  // An already-uploaded job (rem.up == 0) has no uplink leg: it must not
-  // inherit delays from other jobs' committed uplinks on the same ports
-  // (commit() guards the port clocks the same way).
-  const Time cursor = rem.up > 0.0
-                          ? std::max(rd(edge_send_, o), rd(cloud_recv_, kc))
-                          : now_;
-  p.up_end = advance_through_outages(outages, cursor, rem.up);
-  p.exec_end =
-      advance_through_outages(outages, std::max(p.up_end, rd(cloud_cpu_, kc)),
-                              rem.work / platform.cloud_speed(k));
-  if (rem.down > 0.0) {
-    const Time dn_start =
-        std::max({p.exec_end, rd(cloud_send_, kc), rd(edge_recv_, o)});
-    p.done = advance_through_outages(outages, dn_start, rem.down);
-  } else {
-    p.done = p.exec_end;
-  }
-  return p;
+  return cloud_legs(static_cast<std::size_t>(target), outages_of(target),
+                    rem.up, rem.work / platform.cloud_speed(target), rem.down,
+                    rd(edge_send_, o), rd(edge_recv_, o));
 }
 
 Time ResourceClock::project(const Platform& platform, const JobFields& f,
@@ -266,23 +283,72 @@ bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
   return starts_now(platform, fields_of(state), target, now);
 }
 
-std::pair<int, Time> ResourceClock::best_target(const Platform& platform,
-                                                const JobFields& f) const {
-  int best_target_id = kAllocEdge;
-  Time best = project(platform, f, kAllocEdge);
-  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
-    const Time done = project(platform, f, k);
+std::pair<int, Time> ResourceClock::best_target_sticky(
+    const Platform& platform, const JobFields& f) const {
+  const Job& job = *f.job;
+  const auto o = static_cast<std::size_t>(job.origin);
+  const Time edge_send = rd(edge_send_, o);
+  const Time edge_recv = rd(edge_recv_, o);
+  const std::vector<double>& speeds = platform.cloud_speeds();
+  const Time edge_done =
+      rd(edge_cpu_, o) +
+      (f.alloc == kAllocEdge ? clamp_amount(f.rem_work) : job.work) /
+          platform.edge_speed(job.origin);
+
+  // Candidate order matters: the current allocation is evaluated first and
+  // other targets must be *strictly* better (beyond tolerance) to win.
+  int best_target = kAllocEdge;
+  Time best = kTimeInfinity;
+  const auto consider = [&](int target, Time done) {
     if (done < best - kDecisionMargin) {
       best = done;
-      best_target_id = k;
+      best_target = target;
     }
+  };
+  if (is_cloud_alloc(f.alloc)) {
+    const auto kc = static_cast<std::size_t>(f.alloc);
+    best_target = f.alloc;
+    best = cloud_legs(kc, outages_of(f.alloc), clamp_amount(f.rem_up),
+                      clamp_amount(f.rem_work) / speeds[kc],
+                      clamp_amount(f.rem_down), edge_send, edge_recv)
+               .done;
+    consider(kAllocEdge, edge_done);
+  } else if (f.alloc == kAllocEdge) {
+    best = edge_done;
+  } else {
+    consider(kAllocEdge, edge_done);
   }
-  return {best_target_id, best};
-}
 
-std::pair<int, Time> ResourceClock::best_target(const Platform& platform,
-                                                const JobState& state) const {
-  return best_target(platform, fields_of(state));
+  // Fresh restarts on every other cloud (the uplink is resent).
+  const bool skip_untouched = uniform_clouds_ && outages_ == nullptr;
+  bool untouched_seen = false;
+  double speed = std::numeric_limits<double>::quiet_NaN();
+  double exec_time = 0.0;
+  for (std::size_t kc = 0; kc < speeds.size(); ++kc) {
+    const auto k = static_cast<CloudId>(kc);
+    if (k == f.alloc) continue;
+    if (skip_untouched && cloud_cpu_.epoch[kc] != epoch_) {
+      // Not committed since reset(): every lane reads now_.
+      if (untouched_seen) continue;
+      untouched_seen = true;
+    }
+    if (speeds[kc] != speed) {
+      speed = speeds[kc];
+      exec_time = job.work / speed;
+    }
+    if (outages_ == nullptr) {
+      // Every leg only adds to the cloud CPU's free time, so when the CPU
+      // lane plus execution plus downlink cannot beat the running best by
+      // the margin, neither can the full projection (same roundings).
+      const Time cpu_floor = run_leg(
+          nullptr, run_leg(nullptr, rd(cloud_cpu_, kc), exec_time), job.down);
+      if (!(cpu_floor < best - kDecisionMargin)) continue;
+    }
+    consider(k, cloud_legs(kc, outages_of(k), job.up, exec_time, job.down,
+                           edge_send, edge_recv)
+                    .done);
+  }
+  return {best_target, best};
 }
 
 }  // namespace ecs

@@ -114,11 +114,24 @@ class ResourceClock {
   Time commit(const Platform& platform, const JobState& state, int target);
 
   /// Target (kAllocEdge or cloud id) minimizing the projected completion,
-  /// together with that completion time.
-  [[nodiscard]] std::pair<int, Time> best_target(const Platform& platform,
-                                                 const JobFields& f) const;
-  [[nodiscard]] std::pair<int, Time> best_target(const Platform& platform,
-                                                 const JobState& state) const;
+  /// together with that completion time. Sticky: the job's current
+  /// allocation is evaluated first, then the origin edge, then the clouds
+  /// in index order, and a later target wins only when it is better by more
+  /// than kDecisionMargin — so a policy merely re-confirming its decisions
+  /// never discards progress through the re-execution rule.
+  ///
+  /// One fused scan, equal to the per-target loop over project() bit for
+  /// bit: the fresh amounts, the origin's port lanes and the work / speed
+  /// division are hoisted out of the cloud loop (the division is redone
+  /// only when the speed changes). Without outages, two exact shortcuts
+  /// skip clouds that cannot win the strict-margin comparison: a cloud
+  /// whose CPU lane + execution + downlink already fails to beat the
+  /// running best is not projected; and when every cloud has the same
+  /// speed, the clouds not yet committed in this pass all project to the
+  /// same value, so only the lowest-indexed one is evaluated (an equal
+  /// later value can never win).
+  [[nodiscard]] std::pair<int, Time> best_target_sticky(
+      const Platform& platform, const JobFields& f) const;
 
   [[nodiscard]] Time edge_cpu(EdgeId j) const {
     return rd(edge_cpu_, static_cast<std::size_t>(j));
@@ -162,6 +175,13 @@ class ResourceClock {
   [[nodiscard]] Projection project_detail(const Platform& platform,
                                           const JobFields& f,
                                           int target) const;
+  /// Legs of a projection onto cloud `kc` from amounts already resolved
+  /// against the re-execution rule; `edge_send` / `edge_recv` are the
+  /// origin edge's port lanes.
+  [[nodiscard]] Projection cloud_legs(std::size_t kc,
+                                      const IntervalSet* outages, double up,
+                                      double exec_time, double down,
+                                      Time edge_send, Time edge_recv) const;
   [[nodiscard]] const IntervalSet* outages_of(CloudId k) const {
     return outages_ == nullptr || outages_->empty() ? nullptr
                                                     : &outages_->at(k);
@@ -174,6 +194,8 @@ class ResourceClock {
   Lane cloud_send_;
   Lane cloud_recv_;
   const std::vector<IntervalSet>* outages_ = nullptr;
+  /// All clouds share one speed (set by bind(); see best_target_sticky).
+  bool uniform_clouds_ = false;
   Time now_ = 0.0;
   std::uint32_t epoch_ = 0;  ///< 0 = unbound; bind() starts at 1
 };

@@ -72,6 +72,36 @@ inline double min_feasible_stretch(
   return best;
 }
 
+/// Pre-rewrite best_target_sticky: one ResourceClock::project() call per
+/// target (current allocation first, then the edge, then every cloud in
+/// index order; a later target must be better by more than
+/// kDecisionMargin). The library's fused scan must return the same pair.
+inline std::pair<int, Time> best_target_per_target(const Platform& platform,
+                                                   const ResourceClock& clock,
+                                                   const JobState& state) {
+  int best_target = kAllocEdge;
+  Time best = kTimeInfinity;
+  const auto consider = [&](int target) {
+    const Time done = clock.project(platform, state, target);
+    if (done < best - kDecisionMargin) {
+      best = done;
+      best_target = target;
+    }
+  };
+  if (state.alloc != kAllocUnassigned) {
+    best_target = state.alloc;
+    best = clock.project(platform, state, state.alloc);
+    if (state.alloc != kAllocEdge) consider(kAllocEdge);
+  } else {
+    consider(kAllocEdge);
+  }
+  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
+    if (k == state.alloc) continue;
+    consider(k);
+  }
+  return {best_target, best};
+}
+
 /// Pre-rewrite list assignment: constructs a fresh ResourceClock (full
 /// lane allocation) per call and returns a fresh directive vector. Kept
 /// here because the optimized src/sched variant reuses a bound clock.
@@ -85,7 +115,7 @@ inline std::vector<Directive> list_assign_directives(
   double priority = 0.0;
   for (const OrderedJob& entry : order) {
     const JobState& s = view.state(entry.id);
-    const auto [target, done] = best_target_sticky(platform, clock, s);
+    const auto [target, done] = best_target_per_target(platform, clock, s);
     (void)done;
     const bool immediate = clock.starts_now(platform, s, target, now);
     clock.commit(platform, s, target);
@@ -324,7 +354,7 @@ class SsfEdfPolicy final : public Policy {
     bool ok = true;
     for (const OrderedJob& e : entries) {
       const JobState& s = view.state(e.id);
-      const auto [target, done] = best_target_sticky(platform, clock, s);
+      const auto [target, done] = best_target_per_target(platform, clock, s);
       clock.commit(platform, s, target);
       if (time_gt(done, e.key)) {
         ok = false;

@@ -92,7 +92,8 @@ TEST(HeteroCloud, ProjectionUsesCloudSpeed) {
   EXPECT_DOUBLE_EQ(best_uncontended_completion(p, s, 0.0), 4.0);
   ResourceClock clock(p, 0.0);
   EXPECT_DOUBLE_EQ(clock.project(p, s, 1), 4.0);
-  const auto [target, done] = clock.best_target(p, s);
+  const auto [target, done] =
+      clock.best_target_sticky(p, fields_of(s));
   EXPECT_EQ(target, 1);
   EXPECT_DOUBLE_EQ(done, 4.0);
 }

@@ -100,10 +100,62 @@ struct Workload {
   FaultPlan faults;
 };
 
+/// Worlds past the random seeds, each pinning one branch of the cached
+/// Greedy/SRPT pick loops or of the fused best-target scan.
+constexpr int kRandomWorlds = 5;
+/// Mixed cloud speeds {0.5, 1, 1, 2}: the fused scan's non-uniform path
+/// (every cloud evaluated, the division redone per speed change).
+constexpr int kHeteroCloudWorld = kRandomWorlds;
+/// Every job duplicated (equal origin, release and amounts): the pick
+/// loops' kDecisionMargin tie-breaks, which follow scan order.
+constexpr int kNearTieWorld = kRandomWorlds + 1;
+constexpr int kWorldCount = kRandomWorlds + 2;
+
+Workload make_special_workload(int world) {
+  Workload w;
+  RandomInstanceConfig cfg;
+  cfg.slow_edges = 2;
+  cfg.fast_edges = 2;
+  cfg.load = 0.3;
+  FaultConfig fault_cfg;
+  fault_cfg.crash_rate = 0.002;
+  fault_cfg.mean_repair = 20.0;
+  fault_cfg.loss_rate = 0.005;
+  fault_cfg.horizon = 500.0;
+  if (world == kHeteroCloudWorld) {
+    cfg.n = 150;
+    cfg.cloud_count = 4;
+    Rng rng(1000 + world);
+    w.instance = make_random_instance(cfg, rng);
+    w.instance.platform =
+        Platform(w.instance.platform.edge_speeds(),
+                 std::vector<double>{0.5, 1.0, 1.0, 2.0});
+  } else {
+    cfg.n = 75;
+    cfg.cloud_count = 3;
+    Rng rng(1000 + world);
+    const Instance base = make_random_instance(cfg, rng);
+    w.instance.platform = base.platform;
+    for (const Job& job : base.jobs) {
+      for (int copy = 0; copy < 2; ++copy) {
+        Job twin = job;
+        twin.id = w.instance.job_count();
+        w.instance.jobs.push_back(twin);
+      }
+    }
+  }
+  Rng fault_rng(3000 + world);
+  w.faults = make_fault_plan(w.instance.platform.cloud_count(), fault_cfg,
+                             fault_rng);
+  return w;
+}
+
 /// Same workload family as the engine-equivalence suite: random
 /// instances, announced outages on odd seeds, unannounced crashes and
-/// message losses on most seeds.
+/// message losses on most seeds. Seeds from kRandomWorlds on select the
+/// special worlds above.
 Workload make_workload(int seed) {
+  if (seed >= kRandomWorlds) return make_special_workload(seed);
   Workload w;
   RandomInstanceConfig cfg;
   cfg.n = 150;
@@ -245,13 +297,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("edge-only", "greedy", "srpt",
                                          "srpt-noreexec", "ssf-edf", "fcfs",
                                          "failover-srpt"),
-                       ::testing::Range(0, 5)),
+                       ::testing::Range(0, kWorldCount)),
     [](const auto& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      const int world = std::get<1>(info.param);
+      if (world == kHeteroCloudWorld) return name + "_hetero_clouds";
+      if (world == kNearTieWorld) return name + "_near_ties";
+      return name + "_seed" + std::to_string(world);
     });
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace ecs {
 namespace {
 
@@ -104,7 +109,8 @@ TEST(Projection, BestTargetPrefersFasterOption) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
   const JobState s = fresh_state(platform, {0, 0, 4.0, 0.0, 1.0, 1.0});
-  const auto [target, done] = clock.best_target(platform, s);
+  const auto [target, done] =
+      clock.best_target_sticky(platform, fields_of(s));
   // Cloud: 6 < edge: 8.
   EXPECT_EQ(target, 0);
   EXPECT_DOUBLE_EQ(done, 6.0);
@@ -117,7 +123,8 @@ TEST(Projection, BestTargetFallsBackToEdgeWhenCloudsBusy) {
   (void)clock.commit(platform, blocker, 0);
   (void)clock.commit(platform, blocker, 1);
   const JobState s = fresh_state(platform, {1, 0, 4.0, 0.0, 1.0, 1.0});
-  const auto [target, done] = clock.best_target(platform, s);
+  const auto [target, done] =
+      clock.best_target_sticky(platform, fields_of(s));
   EXPECT_EQ(target, kAllocEdge);
   EXPECT_DOUBLE_EQ(done, 8.0);
 }
@@ -153,6 +160,120 @@ TEST(Projection, ProjectDoesNotMutateClock) {
   const Time first = clock.project(platform, s, 0);
   const Time second = clock.project(platform, s, 0);
   EXPECT_DOUBLE_EQ(first, second);
+}
+
+/// The per-target loop that best_target_sticky's fused scan replaced: one
+/// ResourceClock::project() call per target, the current allocation first,
+/// then the edge, then every other cloud in index order.
+std::pair<int, Time> best_target_per_target(const Platform& platform,
+                                            const ResourceClock& clock,
+                                            const JobFields& f) {
+  int best_target = kAllocEdge;
+  Time best = kTimeInfinity;
+  const auto consider = [&](int target) {
+    const Time done = clock.project(platform, f, target);
+    if (done < best - kDecisionMargin) {
+      best = done;
+      best_target = target;
+    }
+  };
+  if (f.alloc != kAllocUnassigned) {
+    best_target = f.alloc;
+    best = clock.project(platform, f, f.alloc);
+    if (f.alloc != kAllocEdge) consider(kAllocEdge);
+  } else {
+    consider(kAllocEdge);
+  }
+  for (CloudId k = 0; k < platform.cloud_count(); ++k) {
+    if (k == f.alloc) continue;
+    consider(k);
+  }
+  return {best_target, best};
+}
+
+/// A random job state: unassigned, on its edge with partial work done, or
+/// on a cloud in any of its three phases; a quarter of the jobs have a
+/// zero-length uplink and a quarter a zero-length downlink.
+JobFields random_fields(const Platform& platform, Rng& rng, Job& job) {
+  job.origin = static_cast<EdgeId>(
+      rng.uniform_int(0, platform.edge_count() - 1));
+  job.work = rng.uniform(0.5, 6.0);
+  job.up = rng.bernoulli(0.25) ? 0.0 : rng.uniform(0.1, 3.0);
+  job.down = rng.bernoulli(0.25) ? 0.0 : rng.uniform(0.1, 3.0);
+  JobFields f;
+  f.job = &job;
+  f.best_time = platform.best_time(job);
+  f.alloc = static_cast<int>(
+      rng.uniform_int(kAllocUnassigned, platform.cloud_count() - 1));
+  f.rem_up = job.up;
+  f.rem_work = job.work;
+  f.rem_down = job.down;
+  if (f.alloc == kAllocEdge) {
+    f.rem_work = job.work * rng.uniform(0.0, 1.0);
+  } else if (is_cloud_alloc(f.alloc)) {
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // uploading
+        f.rem_up = job.up * rng.uniform(0.0, 1.0);
+        break;
+      case 1:  // computing
+        f.rem_up = 0.0;
+        f.rem_work = job.work * rng.uniform(0.0, 1.0);
+        break;
+      default:  // downloading
+        f.rem_up = 0.0;
+        f.rem_work = 0.0;
+        f.rem_down = job.down * rng.uniform(0.0, 1.0);
+        break;
+    }
+  }
+  return f;
+}
+
+TEST(Projection, FusedBestTargetMatchesPerTargetLoop) {
+  const std::vector<double> edges = {0.1, 0.5, 1.0};
+  for (const bool hetero : {false, true}) {
+    for (const bool outages : {false, true}) {
+      SCOPED_TRACE(std::string(hetero ? "hetero" : "uniform") +
+                   (outages ? "+outages" : ""));
+      Instance instance;
+      instance.platform =
+          hetero ? Platform(edges, std::vector<double>{0.5, 1.0, 1.0, 2.0, 1.0})
+                 : Platform(edges, 5);
+      Rng rng(hetero * 2 + outages + 17);
+      if (outages) {
+        for (int k = 0; k < instance.platform.cloud_count(); ++k) {
+          IntervalSet windows;
+          for (int w = 0; w < 4; ++w) {
+            const Time begin = rng.uniform(0.0, 40.0);
+            windows.add(begin, begin + rng.uniform(0.5, 4.0));
+          }
+          instance.cloud_outages.push_back(windows);
+        }
+      }
+      const Platform& platform = instance.platform;
+      ResourceClock clock(instance, 0.0);
+      for (int pass = 0; pass < 40; ++pass) {
+        clock.reset(rng.uniform(0.0, 30.0));
+        const int commits = static_cast<int>(rng.uniform_int(0, 12));
+        for (int i = 0; i <= commits; ++i) {
+          Job job;
+          const JobFields f = random_fields(platform, rng, job);
+          const auto got = clock.best_target_sticky(platform, f);
+          const auto want = best_target_per_target(platform, clock, f);
+          ASSERT_EQ(got.first, want.first) << "pass " << pass << " job " << i;
+          ASSERT_EQ(got.second, want.second) << "pass " << pass << " job " << i;
+          // Commit to a random target half the time, so the passes reach
+          // clock states the best-target policy alone would not.
+          const int target =
+              rng.bernoulli(0.5)
+                  ? got.first
+                  : static_cast<int>(rng.uniform_int(
+                        kAllocEdge, platform.cloud_count() - 1));
+          (void)clock.commit(platform, f, target);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

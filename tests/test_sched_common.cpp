@@ -1,5 +1,6 @@
 // Tests for the shared policy helpers (sched/common.hpp): sticky target
-// selection and the immediate-start list assignment.
+// selection (ResourceClock::best_target_sticky, which the list assignment
+// uses) and the immediate-start list assignment.
 #include "sched/common.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +23,8 @@ TEST(BestTargetSticky, PicksStrictlyBetterTarget) {
   ResourceClock clock(platform, 0.0);
   const JobState s = make_state(platform, {0, 0, 2.0, 0.0, 0.5, 0.5});
   // Cloud 3 < edge 8.
-  const auto [target, done] = best_target_sticky(platform, clock, s);
+  const auto [target, done] =
+      clock.best_target_sticky(platform, fields_of(s));
   EXPECT_EQ(target, 0);
   EXPECT_DOUBLE_EQ(done, 3.0);
 }
@@ -37,7 +39,8 @@ TEST(BestTargetSticky, KeepsCurrentAllocationOnTies) {
   s.rem_up = 0.5;
   s.rem_work = 2.0;
   s.rem_down = 0.5;
-  const auto [target, done] = best_target_sticky(platform, clock, s);
+  const auto [target, done] =
+      clock.best_target_sticky(platform, fields_of(s));
   EXPECT_EQ(target, 1);
   EXPECT_DOUBLE_EQ(done, 3.0);
 }
@@ -51,7 +54,8 @@ TEST(BestTargetSticky, ProgressMakesCurrentAllocationWin) {
   s.rem_up = 0.0;
   s.rem_work = 0.5;
   s.rem_down = 0.5;
-  const auto [target, done] = best_target_sticky(platform, clock, s);
+  const auto [target, done] =
+      clock.best_target_sticky(platform, fields_of(s));
   EXPECT_EQ(target, 0);
   EXPECT_DOUBLE_EQ(done, 1.0);
 }
@@ -68,7 +72,8 @@ TEST(BestTargetSticky, LeavesCurrentWhenGenuinelyBetterElsewhere) {
   s.rem_up = 0.1;
   s.rem_work = 2.0;
   s.rem_down = 0.1;
-  const auto [target, done] = best_target_sticky(platform, clock, s);
+  const auto [target, done] =
+      clock.best_target_sticky(platform, fields_of(s));
   EXPECT_EQ(target, kAllocEdge);
   EXPECT_DOUBLE_EQ(done, 2.0);
 }
