@@ -4,6 +4,7 @@ namespace ecs {
 
 void list_assign_directives(const SimView& view,
                             const std::vector<OrderedJob>& order,
+                            const std::vector<JobFields>& fields,
                             ResourceClock& clock,
                             std::vector<Directive>& out,
                             ReasonCode local_reason,
@@ -11,14 +12,13 @@ void list_assign_directives(const SimView& view,
   const Platform& platform = view.platform();
   const Time now = view.now();
   // Outage-aware: projections mirror the engine's availability windows
-  // (the caller bound `clock` to the instance; reset is O(1)).
+  // (the caller bound `clock` to the instance).
   clock.reset(now);
   out.reserve(out.size() + order.size());
   double priority = 0.0;
   for (const OrderedJob& entry : order) {
-    const JobFields f = view.fields(entry.id);
-    const auto [target, done] = clock.best_target_sticky(platform, f);
-    (void)done;
+    const JobFields& f = fields[static_cast<std::size_t>(entry.pos)];
+    const int target = clock.best_target_sticky(platform, f).first;
     const bool immediate = clock.starts_now(platform, f, target, now);
     clock.commit(platform, f, target);
     const ReasonCode reason =
@@ -32,9 +32,16 @@ void list_assign_directives(const SimView& view,
 
 std::vector<Directive> list_assign_directives(
     const SimView& view, const std::vector<OrderedJob>& order) {
+  std::vector<JobFields> fields;
+  std::vector<OrderedJob> indexed;
+  for (const OrderedJob& entry : order) {
+    indexed.emplace_back(entry.id, entry.key,
+                         static_cast<std::int32_t>(fields.size()));
+    fields.push_back(view.fields(entry.id));
+  }
   ResourceClock clock(view.instance(), view.now());
   std::vector<Directive> directives;
-  list_assign_directives(view, order, clock, directives);
+  list_assign_directives(view, indexed, fields, clock, directives);
   return directives;
 }
 
@@ -43,6 +50,29 @@ void sort_ordered(std::vector<OrderedJob>& order) {
             [](const OrderedJob& a, const OrderedJob& b) {
               return a.key != b.key ? a.key < b.key : a.id < b.id;
             });
+}
+
+void sort_ordered_presorted(std::vector<OrderedJob>& order) {
+  // Insertion sort with a move budget: O(n + inversions) on nearly sorted
+  // input; past 8 moves per entry the input is not nearly sorted, and
+  // std::sort finishes the job. (key, id) is a strict total order, so the
+  // result is the same either way.
+  const auto before = [](const OrderedJob& a, const OrderedJob& b) {
+    return a.key != b.key ? a.key < b.key : a.id < b.id;
+  };
+  std::size_t budget = 8 * order.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const OrderedJob e = order[i];
+    std::size_t j = i;
+    for (; j > 0 && before(e, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = e;
+    const std::size_t moves = i - j;
+    if (moves > budget) {
+      sort_ordered(order);
+      return;
+    }
+    budget -= moves;
+  }
 }
 
 void snapshot_pick_options(const SimView& view,

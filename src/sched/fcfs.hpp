@@ -22,6 +22,7 @@ class FcfsPolicy final : public Policy {
 
  private:
   // Workspace, reused across decide() calls (zero steady-state allocation).
+  std::vector<JobFields> fields_;  ///< live jobs' fields, gathered once
   std::vector<OrderedJob> order_;
   ResourceClock clock_;
 };

@@ -20,6 +20,7 @@
 // next job, and so on; priorities handed to the engine are the EDF ranks.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/common.hpp"
@@ -57,11 +58,11 @@ class SsfEdfPolicy final : public Policy {
   }
 
  private:
-  /// Tests whether target stretch S is achievable from the current state;
-  /// fills `deadlines` for live jobs when it is. Non-const: it reuses the
-  /// workspace entry buffer and projection clock.
-  [[nodiscard]] bool feasible(const SimView& view, double stretch,
-                              std::vector<double>* deadlines_out);
+  /// Tests whether target stretch S is achievable from the current state,
+  /// over the jobs gathered in fields_. On success the probe's EDF entries
+  /// (deadline = key) are kept in kept_ and S in kept_stretch_. Non-const:
+  /// it reuses the entry buffers and the projection clock.
+  [[nodiscard]] bool feasible(const SimView& view, double stretch);
 
   void recompute_deadlines(const SimView& view);
 
@@ -70,8 +71,13 @@ class SsfEdfPolicy final : public Policy {
   double last_target_stretch_ = 0.0;
   // Workspace, reused across decide() calls and feasibility probes (zero
   // steady-state allocation; see DESIGN.md §6).
-  std::vector<OrderedJob> entries_;  ///< per-probe EDF entries
-  std::vector<OrderedJob> order_;    ///< decide()'s EDF order
+  std::vector<JobFields> fields_;      ///< live jobs' fields, gathered once
+  std::vector<std::int32_t> slots_;    ///< view.slot() of each fields_ entry
+  std::vector<OrderedJob> entries_;    ///< the running probe's EDF entries
+  std::vector<std::int32_t> probe_order_;  ///< last probe's sorted positions
+  std::vector<OrderedJob> kept_;       ///< last successful probe's entries
+  double kept_stretch_ = 0.0;          ///< its stretch; NaN: none this call
+  std::vector<OrderedJob> order_;      ///< decide()'s EDF order
   ResourceClock clock_;  ///< probe + assignment projections (sequential)
 };
 

@@ -1059,8 +1059,10 @@ Time EngineCore::activity_end(std::int32_t slot) const {
   // 1.0 for transfers — so one select + one divide covers all three kinds
   // (x / 1.0 is exact in IEEE arithmetic, keeping transfer end times
   // bit-identical to the historical now_ + rem form).
-  double rem;
+  double rem = 0.0;
   switch (pool_.active(slot)) {
+    case Activity::kNone:
+      return kTimeInfinity;
     case Activity::kUplink:
       rem = pool_.rem_up(slot);
       break;
@@ -1070,8 +1072,6 @@ Time EngineCore::activity_end(std::int32_t slot) const {
     case Activity::kDownlink:
       rem = pool_.rem_down(slot);
       break;
-    case Activity::kNone:
-      return kTimeInfinity;
   }
   return now_ + clamp_amount(rem) / pool_.rate(slot);
 }

@@ -141,7 +141,12 @@ class SimView {
   /// never writes a snapshot entry. `id` must be live or belong to the
   /// current event batch (the slot() >= 0 contract above).
   [[nodiscard]] JobFields fields(JobId id) const {
-    const std::int32_t s = slot(id);
+    return fields_at_slot(slot(id));
+  }
+
+  /// fields() for a job whose state slot the caller already holds
+  /// (slot(id) >= 0), without resolving the id again.
+  [[nodiscard]] JobFields fields_at_slot(std::int32_t s) const {
     if (pool_ != nullptr) {
       assert(s >= 0 && static_cast<std::size_t>(s) < pool_->size());
       return pool_->fields(s);

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <limits>
 #include <stdexcept>
+
+#include "sim/policy.hpp"  // kTargetKeep, named by an assert
 
 namespace ecs {
 
@@ -55,6 +56,10 @@ Time advance_through_outages(const IntervalSet* outages, Time start,
 }
 
 namespace {
+
+/// std::max(a, b) by value (the same compare and select): a reference
+/// result would keep best_target_sticky's kernel from vectorizing.
+inline double max_value(double a, double b) { return a < b ? b : a; }
 
 /// advance_through_outages with the outage-free case inlined (same values).
 inline Time run_leg(const IntervalSet* outages, Time start, double duration) {
@@ -143,21 +148,18 @@ ResourceClock::ResourceClock(const Instance& instance, Time now) {
 void ResourceClock::bind(const Platform& platform, Time now) {
   const auto edges = static_cast<std::size_t>(platform.edge_count());
   const auto clouds = static_cast<std::size_t>(platform.cloud_count());
-  const auto size_lane = [](Lane& lane, std::size_t n) {
-    lane.time.assign(n, 0.0);
-    lane.epoch.assign(n, 0);
-  };
-  size_lane(edge_cpu_, edges);
-  size_lane(edge_send_, edges);
-  size_lane(edge_recv_, edges);
-  size_lane(cloud_cpu_, clouds);
-  size_lane(cloud_send_, clouds);
-  size_lane(cloud_recv_, clouds);
+  for (std::vector<Time>* lane : {&edge_cpu_, &edge_send_, &edge_recv_}) {
+    lane->resize(edges);
+  }
+  for (std::vector<Time>* lane : {&cloud_cpu_, &cloud_send_, &cloud_recv_}) {
+    lane->resize(clouds);
+  }
+  fresh_.resize(clouds);
   const std::vector<double>& speeds = platform.cloud_speeds();
   uniform_clouds_ = std::adjacent_find(speeds.begin(), speeds.end(),
                                        std::not_equal_to<>()) == speeds.end();
   outages_ = nullptr;
-  epoch_ = 0;
+  bound_ = true;
   reset(now);
 }
 
@@ -170,14 +172,9 @@ void ResourceClock::bind(const Instance& instance, Time now) {
 
 void ResourceClock::reset(Time now) noexcept {
   now_ = now;
-  if (++epoch_ == 0) {
-    // Epoch wrap: stale tags from 2^32 resets ago could read as current.
-    // Wipe them (rare: once per 4 billion resets) and restart at 1.
-    for (Lane* lane : {&edge_cpu_, &edge_send_, &edge_recv_, &cloud_cpu_,
-                       &cloud_send_, &cloud_recv_}) {
-      std::fill(lane->epoch.begin(), lane->epoch.end(), 0U);
-    }
-    epoch_ = 1;
+  for (std::vector<Time>* lane : {&edge_cpu_, &edge_send_, &edge_recv_,
+                                  &cloud_cpu_, &cloud_send_, &cloud_recv_}) {
+    std::fill(lane->begin(), lane->end(), now);
   }
 }
 
@@ -188,14 +185,12 @@ ResourceClock::Projection ResourceClock::cloud_legs(
   // An already-uploaded job (up == 0) has no uplink leg: it must not
   // inherit delays from other jobs' committed uplinks on the same ports
   // (commit() guards the port clocks the same way).
-  const Time cursor =
-      up > 0.0 ? std::max(edge_send, rd(cloud_recv_, kc)) : now_;
+  const Time cursor = up > 0.0 ? std::max(edge_send, cloud_recv_[kc]) : now_;
   p.up_end = run_leg(outages, cursor, up);
-  p.exec_end =
-      run_leg(outages, std::max(p.up_end, rd(cloud_cpu_, kc)), exec_time);
+  p.exec_end = run_leg(outages, std::max(p.up_end, cloud_cpu_[kc]), exec_time);
   p.done = down > 0.0
                ? run_leg(outages,
-                         std::max({p.exec_end, rd(cloud_send_, kc), edge_recv}),
+                         std::max({p.exec_end, cloud_send_[kc], edge_recv}),
                          down)
                : p.exec_end;
   return p;
@@ -207,15 +202,14 @@ ResourceClock::Projection ResourceClock::project_detail(
   const auto o = static_cast<std::size_t>(f.job->origin);
   if (target == kAllocEdge) {
     Projection p{};
-    p.up_end = rd(edge_cpu_, o);
-    p.exec_end =
-        rd(edge_cpu_, o) + rem.work / platform.edge_speed(f.job->origin);
+    p.up_end = edge_cpu_[o];
+    p.exec_end = edge_cpu_[o] + rem.work / platform.edge_speed(f.job->origin);
     p.done = p.exec_end;
     return p;
   }
   return cloud_legs(static_cast<std::size_t>(target), outages_of(target),
                     rem.up, rem.work / platform.cloud_speed(target), rem.down,
-                    rd(edge_send_, o), rd(edge_recv_, o));
+                    edge_send_[o], edge_recv_[o]);
 }
 
 Time ResourceClock::project(const Platform& platform, const JobFields& f,
@@ -233,19 +227,19 @@ Time ResourceClock::commit(const Platform& platform, const JobFields& f,
   const Projection p = project_detail(platform, f, target);
   const auto o = static_cast<std::size_t>(f.job->origin);
   if (target == kAllocEdge) {
-    wr(edge_cpu_, o, p.exec_end);
+    edge_cpu_[o] = p.exec_end;
     return p.done;
   }
   const auto kc = static_cast<std::size_t>(target);
   const RemainingAmounts rem = remaining_on(f, target);
   if (rem.up > 0.0) {
-    wr(edge_send_, o, p.up_end);
-    wr(cloud_recv_, kc, p.up_end);
+    edge_send_[o] = p.up_end;
+    cloud_recv_[kc] = p.up_end;
   }
-  wr(cloud_cpu_, kc, p.exec_end);
+  cloud_cpu_[kc] = p.exec_end;
   if (rem.down > 0.0) {
-    wr(cloud_send_, kc, p.done);
-    wr(edge_recv_, o, p.done);
+    cloud_send_[kc] = p.done;
+    edge_recv_[o] = p.done;
   }
   return p.done;
 }
@@ -260,7 +254,7 @@ bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
   const RemainingAmounts rem = remaining_on(f, target);
   const auto o = static_cast<std::size_t>(f.job->origin);
   if (target == kAllocEdge) {
-    return time_le(rd(edge_cpu_, o), now);
+    return time_le(edge_cpu_[o], now);
   }
   const CloudId k = target;
   const auto kc = static_cast<std::size_t>(k);
@@ -270,12 +264,12 @@ bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
     return false;
   }
   if (rem.up > 0.0) {
-    return time_le(rd(edge_send_, o), now) && time_le(rd(cloud_recv_, kc), now);
+    return time_le(edge_send_[o], now) && time_le(cloud_recv_[kc], now);
   }
   if (rem.work > 0.0) {
-    return time_le(rd(cloud_cpu_, kc), now);
+    return time_le(cloud_cpu_[kc], now);
   }
-  return time_le(rd(cloud_send_, kc), now) && time_le(rd(edge_recv_, o), now);
+  return time_le(cloud_send_[kc], now) && time_le(edge_recv_[o], now);
 }
 
 bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
@@ -283,26 +277,83 @@ bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
   return starts_now(platform, fields_of(state), target, now);
 }
 
+template <bool UniformSpeed>
+void ResourceClock::fill_fresh(const std::vector<double>& speeds,
+                               const Job& job, Time edge_send,
+                               Time edge_recv) {
+  // cloud_legs for every cloud with outages == nullptr, written as value
+  // selects over plain arrays so that the loop vectorizes. The job's leg
+  // tests are hoisted; every sum is computed, then selected; every max
+  // takes its operands in cloud_legs' order. The execution leg is
+  // run_leg's `duration <= 0 ? start : start + duration` as
+  // max(start, start + duration): the same value for every non-NaN
+  // duration (a select on a per-cloud condition would stop the
+  // vectorizer), and Job/Platform validation keeps work / speed > 0.
+  const bool has_up = job.up > 0.0;
+  const bool has_down = job.down > 0.0;
+  const double up = job.up;
+  const double down = job.down;
+  const double work = job.work;
+  const Time now = now_;
+  const std::size_t clouds = fresh_.size();
+  const double* speed = speeds.data();
+  const Time* recv = cloud_recv_.data();
+  const Time* cpu = cloud_cpu_.data();
+  const Time* send = cloud_send_.data();
+  Time* fresh = fresh_.data();
+  const double uniform_exec =
+      UniformSpeed && clouds > 0 ? work / speed[0] : 0.0;
+  for (std::size_t kc = 0; kc < clouds; ++kc) {
+    const double exec_time = UniformSpeed ? uniform_exec : work / speed[kc];
+    const Time up_sum = max_value(edge_send, recv[kc]) + up;
+    const Time up_end = has_up ? up_sum : now;
+    const Time exec_start = max_value(up_end, cpu[kc]);
+    const Time exec_end = max_value(exec_start, exec_start + exec_time);
+    const Time down_sum =
+        max_value(max_value(exec_end, send[kc]), edge_recv) + down;
+    fresh[kc] = has_down ? down_sum : exec_end;
+  }
+}
+
 std::pair<int, Time> ResourceClock::best_target_sticky(
-    const Platform& platform, const JobFields& f) const {
+    const Platform& platform, const JobFields& f) {
   const Job& job = *f.job;
   const auto o = static_cast<std::size_t>(job.origin);
-  const Time edge_send = rd(edge_send_, o);
-  const Time edge_recv = rd(edge_recv_, o);
+  const Time edge_send = edge_send_[o];
+  const Time edge_recv = edge_recv_[o];
   const std::vector<double>& speeds = platform.cloud_speeds();
   const Time edge_done =
-      rd(edge_cpu_, o) +
+      edge_cpu_[o] +
       (f.alloc == kAllocEdge ? clamp_amount(f.rem_work) : job.work) /
           platform.edge_speed(job.origin);
+
+  // Fresh restarts on every cloud (the uplink is resent). f.alloc's entry
+  // is computed too, then set to +inf below, which no target can lose to.
+  if (outages_ == nullptr) {
+    if (uniform_clouds_) {
+      fill_fresh<true>(speeds, job, edge_send, edge_recv);
+    } else {
+      fill_fresh<false>(speeds, job, edge_send, edge_recv);
+    }
+  } else {
+    for (std::size_t kc = 0; kc < fresh_.size(); ++kc) {
+      fresh_[kc] = cloud_legs(kc, outages_of(static_cast<CloudId>(kc)), job.up,
+                              job.work / speeds[kc], job.down, edge_send,
+                              edge_recv)
+                       .done;
+    }
+  }
 
   // Candidate order matters: the current allocation is evaluated first and
   // other targets must be *strictly* better (beyond tolerance) to win.
   int best_target = kAllocEdge;
   Time best = kTimeInfinity;
+  Time threshold = kTimeInfinity;  // best - kDecisionMargin
   const auto consider = [&](int target, Time done) {
-    if (done < best - kDecisionMargin) {
+    if (done < threshold) [[unlikely]] {
       best = done;
       best_target = target;
+      threshold = best - kDecisionMargin;
     }
   };
   if (is_cloud_alloc(f.alloc)) {
@@ -312,41 +363,20 @@ std::pair<int, Time> ResourceClock::best_target_sticky(
                       clamp_amount(f.rem_work) / speeds[kc],
                       clamp_amount(f.rem_down), edge_send, edge_recv)
                .done;
+    threshold = best - kDecisionMargin;
     consider(kAllocEdge, edge_done);
+    fresh_[kc] = kTimeInfinity;  // never wins: skips f.alloc below
   } else if (f.alloc == kAllocEdge) {
     best = edge_done;
+    threshold = best - kDecisionMargin;
   } else {
     consider(kAllocEdge, edge_done);
   }
-
-  // Fresh restarts on every other cloud (the uplink is resent).
-  const bool skip_untouched = uniform_clouds_ && outages_ == nullptr;
-  bool untouched_seen = false;
-  double speed = std::numeric_limits<double>::quiet_NaN();
-  double exec_time = 0.0;
-  for (std::size_t kc = 0; kc < speeds.size(); ++kc) {
-    const auto k = static_cast<CloudId>(kc);
-    if (k == f.alloc) continue;
-    if (skip_untouched && cloud_cpu_.epoch[kc] != epoch_) {
-      // Not committed since reset(): every lane reads now_.
-      if (untouched_seen) continue;
-      untouched_seen = true;
-    }
-    if (speeds[kc] != speed) {
-      speed = speeds[kc];
-      exec_time = job.work / speed;
-    }
-    if (outages_ == nullptr) {
-      // Every leg only adds to the cloud CPU's free time, so when the CPU
-      // lane plus execution plus downlink cannot beat the running best by
-      // the margin, neither can the full projection (same roundings).
-      const Time cpu_floor = run_leg(
-          nullptr, run_leg(nullptr, rd(cloud_cpu_, kc), exec_time), job.down);
-      if (!(cpu_floor < best - kDecisionMargin)) continue;
-    }
-    consider(k, cloud_legs(kc, outages_of(k), job.up, exec_time, job.down,
-                           edge_send, edge_recv)
-                    .done);
+  // A branch, not a select: a select would chain every cloud's compare
+  // through `threshold`, while the branch is taken only on the (few)
+  // improvements.
+  for (std::size_t kc = 0; kc < fresh_.size(); ++kc) {
+    consider(static_cast<CloudId>(kc), fresh_[kc]);
   }
   return {best_target, best};
 }

@@ -18,7 +18,7 @@
 // amounts from scratch.
 #pragma once
 
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/platform.hpp"
@@ -68,11 +68,11 @@ namespace ecs {
 ///
 /// The clock is reusable: policies bind() it once per simulation (sizing
 /// the per-resource arrays, capturing the outage windows) and then reset()
-/// it at every projection pass. reset() is O(1) — each per-resource entry
-/// is epoch-tagged, an entry whose tag predates the current epoch reads as
-/// `now` (i.e. free), and commit() re-tags exactly the entries it writes.
-/// A freshly reset() clock is therefore indistinguishable from a newly
-/// constructed one, with no per-resource refill and no allocation.
+/// it at every projection pass. reset() fills every lane with `now` — O(m)
+/// for m edges plus clouds, which a pass pays anyway: every
+/// best_target_sticky() call reads every cloud's lanes, so a pass over ℓ
+/// jobs already costs Θ(ℓ·m). A reset clock is therefore identical to a
+/// newly constructed one, with no allocation.
 class ResourceClock {
  public:
   /// Unbound clock; bind() must run before any projection.
@@ -93,12 +93,12 @@ class ResourceClock {
   /// instance must outlive the clock's use).
   void bind(const Instance& instance, Time now);
 
-  /// Restarts the clock at `now` with every resource free. O(1): bumps the
-  /// epoch so all stale entries read as `now`.
+  /// Restarts the clock at `now` with every resource free: fills all six
+  /// lanes with `now`.
   void reset(Time now) noexcept;
 
   /// True once bind() (or a sizing constructor) has run.
-  [[nodiscard]] bool bound() const noexcept { return epoch_ != 0; }
+  [[nodiscard]] bool bound() const noexcept { return bound_; }
 
   /// Completion time of the job on `target` given current clocks; does not
   /// modify the clocks. JobFields overloads are primary; the JobState
@@ -120,24 +120,20 @@ class ResourceClock {
   /// than kDecisionMargin — so a policy merely re-confirming its decisions
   /// never discards progress through the re-execution rule.
   ///
-  /// One fused scan, equal to the per-target loop over project() bit for
-  /// bit: the fresh amounts, the origin's port lanes and the work / speed
-  /// division are hoisted out of the cloud loop (the division is redone
-  /// only when the speed changes). Without outages, two exact shortcuts
-  /// skip clouds that cannot win the strict-margin comparison: a cloud
-  /// whose CPU lane + execution + downlink already fails to beat the
-  /// running best is not projected; and when every cloud has the same
-  /// speed, the clouds not yet committed in this pass all project to the
-  /// same value, so only the lowest-indexed one is evaluated (an equal
-  /// later value can never win).
+  /// Equal to the per-target loop over project() bit for bit. A first
+  /// loop writes every cloud's fresh-restart completion into a scratch
+  /// array (without outages: one branch-free pass over the lanes, the
+  /// same operations as cloud_legs); the selection loop then scans that
+  /// array once, with a branch taken only on an improvement. Non-const
+  /// only for the scratch array: the clocks are not modified.
   [[nodiscard]] std::pair<int, Time> best_target_sticky(
-      const Platform& platform, const JobFields& f) const;
+      const Platform& platform, const JobFields& f);
 
   [[nodiscard]] Time edge_cpu(EdgeId j) const {
-    return rd(edge_cpu_, static_cast<std::size_t>(j));
+    return edge_cpu_[static_cast<std::size_t>(j)];
   }
   [[nodiscard]] Time cloud_cpu(CloudId k) const {
-    return rd(cloud_cpu_, static_cast<std::size_t>(k));
+    return cloud_cpu_[static_cast<std::size_t>(k)];
   }
 
   /// True when the job's *next* activity on `target` could begin
@@ -157,21 +153,6 @@ class ResourceClock {
     Time exec_end;
     Time done;
   };
-  /// One per-resource lane: next-free times plus the epoch each entry was
-  /// written in. A stale epoch means "never touched since reset" = free.
-  struct Lane {
-    std::vector<Time> time;
-    std::vector<std::uint32_t> epoch;
-  };
-  // Unchecked indexing: these sit in the innermost projection loops and
-  // every caller derives `i` from a validated target / platform bound.
-  [[nodiscard]] Time rd(const Lane& lane, std::size_t i) const {
-    return lane.epoch[i] == epoch_ ? lane.time[i] : now_;
-  }
-  void wr(Lane& lane, std::size_t i, Time t) {
-    lane.time[i] = t;
-    lane.epoch[i] = epoch_;
-  }
   [[nodiscard]] Projection project_detail(const Platform& platform,
                                           const JobFields& f,
                                           int target) const;
@@ -182,22 +163,32 @@ class ResourceClock {
                                       const IntervalSet* outages, double up,
                                       double exec_time, double down,
                                       Time edge_send, Time edge_recv) const;
+  /// Fills fresh_ with every cloud's fresh-restart completion of `job`
+  /// (no outages; `UniformSpeed`: one division for all clouds).
+  template <bool UniformSpeed>
+  void fill_fresh(const std::vector<double>& speeds, const Job& job,
+                  Time edge_send, Time edge_recv);
   [[nodiscard]] const IntervalSet* outages_of(CloudId k) const {
     return outages_ == nullptr || outages_->empty() ? nullptr
                                                     : &outages_->at(k);
   }
 
-  Lane edge_cpu_;
-  Lane edge_send_;
-  Lane edge_recv_;
-  Lane cloud_cpu_;
-  Lane cloud_send_;
-  Lane cloud_recv_;
+  // Unchecked indexing throughout: these lanes sit in the innermost
+  // projection loops and every caller derives its index from a validated
+  // target / platform bound.
+  std::vector<Time> edge_cpu_;
+  std::vector<Time> edge_send_;
+  std::vector<Time> edge_recv_;
+  std::vector<Time> cloud_cpu_;
+  std::vector<Time> cloud_send_;
+  std::vector<Time> cloud_recv_;
+  /// best_target_sticky's per-cloud completions (sized by bind()).
+  std::vector<Time> fresh_;
   const std::vector<IntervalSet>* outages_ = nullptr;
-  /// All clouds share one speed (set by bind(); see best_target_sticky).
+  /// All clouds share one speed (set by bind(); see fill_fresh).
   bool uniform_clouds_ = false;
+  bool bound_ = false;
   Time now_ = 0.0;
-  std::uint32_t epoch_ = 0;  ///< 0 = unbound; bind() starts at 1
 };
 
 /// Remaining amounts of the job if (re)started on `target`:

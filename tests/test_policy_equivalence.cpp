@@ -18,8 +18,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -101,10 +103,10 @@ struct Workload {
 };
 
 /// Worlds past the random seeds, each pinning one branch of the cached
-/// Greedy/SRPT pick loops or of the fused best-target scan.
+/// Greedy/SRPT pick loops or of the best-target kernel.
 constexpr int kRandomWorlds = 5;
-/// Mixed cloud speeds {0.5, 1, 1, 2}: the fused scan's non-uniform path
-/// (every cloud evaluated, the division redone per speed change).
+/// Mixed cloud speeds {0.5, 1, 1, 2}: the best-target kernel's
+/// mixed-speed fill (one division per cloud).
 constexpr int kHeteroCloudWorld = kRandomWorlds;
 /// Every job duplicated (equal origin, release and amounts): the pick
 /// loops' kDecisionMargin tie-breaks, which follow scan order.
@@ -240,6 +242,17 @@ void expect_same_fault_log(const std::vector<Event>& a,
   }
 }
 
+/// Completions, stats, fault log and schedule, all compared exactly.
+void expect_same_run(const SimResult& got, const SimResult& want) {
+  ASSERT_EQ(got.completions.size(), want.completions.size());
+  for (std::size_t i = 0; i < got.completions.size(); ++i) {
+    EXPECT_EQ(got.completions[i], want.completions[i]) << "job " << i;
+  }
+  expect_same_stats(got.stats, want.stats);
+  expect_same_fault_log(got.fault_log, want.fault_log);
+  expect_same_schedule(got.schedule, want.schedule);
+}
+
 class PolicyEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
@@ -250,16 +263,7 @@ TEST_P(PolicyEquivalence, MatchesFrozenReferenceBitForBit) {
   const auto optimized = make_policy(policy_name);
   const auto reference = ref::make_reference_policy(policy_name);
 
-  const SimResult got = run(w, *optimized);
-  const SimResult want = run(w, *reference);
-
-  ASSERT_EQ(got.completions.size(), want.completions.size());
-  for (std::size_t i = 0; i < got.completions.size(); ++i) {
-    EXPECT_EQ(got.completions[i], want.completions[i]) << "job " << i;
-  }
-  expect_same_stats(got.stats, want.stats);
-  expect_same_fault_log(got.fault_log, want.fault_log);
-  expect_same_schedule(got.schedule, want.schedule);
+  expect_same_run(run(w, *optimized), run(w, *reference));
 }
 
 // The PR-8 hot-path switches must not open any gap to the frozen
@@ -281,13 +285,7 @@ TEST_P(PolicyEquivalence, HotPathConfigsAllMatchTheReference) {
       const SimResult got = run(w, *optimized, snapshot_views, elide);
       SCOPED_TRACE(std::string(snapshot_views ? "snapshot" : "field-view") +
                    (elide ? "+elide" : "+no-elide"));
-      ASSERT_EQ(got.completions.size(), want.completions.size());
-      for (std::size_t i = 0; i < got.completions.size(); ++i) {
-        EXPECT_EQ(got.completions[i], want.completions[i]) << "job " << i;
-      }
-      expect_same_stats(got.stats, want.stats);
-      expect_same_fault_log(got.fault_log, want.fault_log);
-      expect_same_schedule(got.schedule, want.schedule);
+      expect_same_run(got, want);
     }
   }
 }
@@ -309,48 +307,116 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_seed" + std::to_string(world);
     });
 
+// SSF-EDF's alpha paths. alpha > 1 locks in deadlines at a stretch the
+// search never probed; alpha < 1 makes the scaled target infeasible, so
+// recompute_deadlines falls back to the verified stretch. Both must match
+// the frozen reference run with the same config, bit for bit.
+
+class SsfEdfAlpha
+    : public ::testing::TestWithParam<std::tuple<double, int>> {};
+
+TEST_P(SsfEdfAlpha, MatchesFrozenReferenceBitForBit) {
+  const auto& [alpha, seed] = GetParam();
+  const Workload w = make_workload(seed);
+  SsfEdfConfig config;
+  config.alpha = alpha;
+  SsfEdfPolicy optimized(config);
+  ref::SsfEdfPolicy reference(config);
+  expect_same_run(run(w, optimized), run(w, reference));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AlphasBySeeds, SsfEdfAlpha,
+    ::testing::Combine(::testing::Values(0.5, 4.0),
+                       ::testing::Range(0, kWorldCount)),
+    [](const auto& info) {
+      const double alpha = std::get<0>(info.param);
+      return std::string(alpha < 1.0 ? "alpha_half" : "alpha_4") + "_world" +
+             std::to_string(std::get<1>(info.param));
+    });
+
 // ---------------------------------------------------------------------------
 // Zero-allocation: drive decide() directly on a hand-built view. After the
 // first call warmed every workspace buffer, repeated decisions on the same
 // live set must not touch the heap.
 
+/// Every job of a random instance live and unassigned at a time past the
+/// last release: the worst-case decision round (policies see the full
+/// instance at once). A release in the batch exercises the
+/// deadline-recompute (stretch search) path of SSF-EDF and Edge-Only.
+struct AllLiveRound {
+  explicit AllLiveRound(std::uint64_t seed) {
+    RandomInstanceConfig cfg;
+    cfg.n = 64;
+    cfg.cloud_count = 3;
+    cfg.slow_edges = 2;
+    cfg.fast_edges = 2;
+    cfg.load = 0.3;
+    Rng rng(seed);
+    instance = make_random_instance(cfg, rng);
+    states.reserve(instance.jobs.size());
+    for (const Job& job : instance.jobs) {
+      live.push_back(job.id);
+      now = std::max(now, job.release);
+      JobState s;
+      s.job = job;
+      s.best_time = instance.platform.best_time(job);
+      s.rem_work = job.work;
+      s.released = true;
+      states.push_back(s);
+    }
+    events = {Event{EventKind::kRelease, instance.jobs.back().id, now, -1}};
+    view.emplace(instance, states, now, &live);
+  }
+  AllLiveRound(const AllLiveRound&) = delete;  // the view points into it
+  AllLiveRound& operator=(const AllLiveRound&) = delete;
+
+  Instance instance;
+  std::vector<JobState> states;
+  std::vector<JobId> live;
+  Time now = 0.0;
+  std::vector<Event> events;
+  std::optional<SimView> view;  ///< built last: it copies `now`
+};
+
+// When alpha * S is infeasible the policy reports, and locks in, the
+// verified stretch S itself: the alpha = 1/2 policy ends its decision with
+// the same target stretch and the same directives as the alpha = 1 one.
+TEST(SsfEdfAlphaFallback, InfeasibleScaledTargetKeepsVerifiedStretch) {
+  for (const std::uint64_t seed : {42U, 43U, 44U}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const AllLiveRound setup(seed);
+    SsfEdfPolicy unit;
+    SsfEdfConfig half_config;
+    half_config.alpha = 0.5;
+    SsfEdfPolicy half(half_config);
+    unit.reset(setup.instance);
+    half.reset(setup.instance);
+    std::vector<Directive> unit_out;
+    std::vector<Directive> half_out;
+    unit.decide(*setup.view, setup.events, unit_out);
+    half.decide(*setup.view, setup.events, half_out);
+
+    const double verified = unit.last_target_stretch();
+    ASSERT_GT(verified, 1.0);  // a contended round, not the trivial S = 1
+    EXPECT_EQ(half.last_target_stretch(), verified);
+    ASSERT_EQ(half_out.size(), unit_out.size());
+    for (std::size_t i = 0; i < half_out.size(); ++i) {
+      EXPECT_EQ(half_out[i].job, unit_out[i].job) << "rank " << i;
+      EXPECT_EQ(half_out[i].target, unit_out[i].target) << "rank " << i;
+      EXPECT_EQ(half_out[i].priority, unit_out[i].priority) << "rank " << i;
+    }
+  }
+}
+
 class ZeroAllocation : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ZeroAllocation, SteadyStateDecideDoesNotAllocate) {
   const std::string& policy_name = GetParam();
-
-  RandomInstanceConfig cfg;
-  cfg.n = 64;
-  cfg.cloud_count = 3;
-  cfg.slow_edges = 2;
-  cfg.fast_edges = 2;
-  cfg.load = 0.3;
-  Rng rng(42);
-  const Instance instance = make_random_instance(cfg, rng);
-
-  // Every job live and unassigned at a time past the last release: the
-  // worst-case decision round (policies see the full instance at once).
-  Time now = 0.0;
-  std::vector<JobState> states;
-  std::vector<JobId> live;
-  states.reserve(instance.jobs.size());
-  for (const Job& job : instance.jobs) {
-    live.push_back(job.id);
-    now = std::max(now, job.release);
-  }
-  for (const Job& job : instance.jobs) {
-    JobState s;
-    s.job = job;
-    s.best_time = instance.platform.best_time(job);
-    s.rem_work = job.work;
-    s.released = true;
-    states.push_back(s);
-  }
-  const SimView view(instance, states, now, &live);
-  // A release in the batch exercises the deadline-recompute (stretch
-  // search) path of SSF-EDF and Edge-Only on every call.
-  const std::vector<Event> events = {
-      Event{EventKind::kRelease, instance.jobs.back().id, now, -1}};
+  const AllLiveRound setup(42);
+  const Instance& instance = setup.instance;
+  const SimView& view = *setup.view;
+  const std::vector<Event>& events = setup.events;
 
   const auto policy = make_policy(policy_name);
   policy->reset(instance);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -162,7 +163,7 @@ TEST(Projection, ProjectDoesNotMutateClock) {
   EXPECT_DOUBLE_EQ(first, second);
 }
 
-/// The per-target loop that best_target_sticky's fused scan replaced: one
+/// The oracle for best_target_sticky's kernel: one
 /// ResourceClock::project() call per target, the current allocation first,
 /// then the edge, then every other cloud in index order.
 std::pair<int, Time> best_target_per_target(const Platform& platform,
@@ -229,27 +230,48 @@ JobFields random_fields(const Platform& platform, Rng& rng, Job& job) {
   return f;
 }
 
-TEST(Projection, FusedBestTargetMatchesPerTargetLoop) {
-  const std::vector<double> edges = {0.1, 0.5, 1.0};
-  for (const bool hetero : {false, true}) {
-    for (const bool outages : {false, true}) {
-      SCOPED_TRACE(std::string(hetero ? "hetero" : "uniform") +
-                   (outages ? "+outages" : ""));
-      Instance instance;
-      instance.platform =
-          hetero ? Platform(edges, std::vector<double>{0.5, 1.0, 1.0, 2.0, 1.0})
-                 : Platform(edges, 5);
-      Rng rng(hetero * 2 + outages + 17);
-      if (outages) {
-        for (int k = 0; k < instance.platform.cloud_count(); ++k) {
-          IntervalSet windows;
-          for (int w = 0; w < 4; ++w) {
-            const Time begin = rng.uniform(0.0, 40.0);
-            windows.add(begin, begin + rng.uniform(0.5, 4.0));
-          }
-          instance.cloud_outages.push_back(windows);
-        }
+/// Cloud speeds of the platforms the best-target checks run on: none (the
+/// kernel must not touch a cloud lane), one, a few uniform, a few mixed,
+/// and a wide platform of each kind.
+std::vector<std::vector<double>> cloud_speed_sets() {
+  std::vector<double> wide_mixed(100);
+  for (std::size_t k = 0; k < wide_mixed.size(); ++k) {
+    wide_mixed[k] = 0.5 + 0.25 * static_cast<double>(k % 7);
+  }
+  return {{},
+          {1.0},
+          std::vector<double>(5, 1.0),
+          {0.5, 1.0, 1.0, 2.0, 1.0},
+          std::vector<double>(100, 1.0),
+          wide_mixed};
+}
+
+Instance make_projection_instance(const std::vector<double>& cloud_speeds,
+                                  bool outages, Rng& rng) {
+  Instance instance;
+  instance.platform = Platform({0.1, 0.5, 1.0}, cloud_speeds);
+  if (outages) {
+    for (int k = 0; k < instance.platform.cloud_count(); ++k) {
+      IntervalSet windows;
+      for (int w = 0; w < 4; ++w) {
+        const Time begin = rng.uniform(0.0, 40.0);
+        windows.add(begin, begin + rng.uniform(0.5, 4.0));
       }
+      instance.cloud_outages.push_back(windows);
+    }
+  }
+  return instance;
+}
+
+TEST(Projection, FusedBestTargetMatchesPerTargetLoop) {
+  const std::vector<std::vector<double>> speed_sets = cloud_speed_sets();
+  for (std::size_t set = 0; set < speed_sets.size(); ++set) {
+    for (const bool outages : {false, true}) {
+      SCOPED_TRACE(std::to_string(speed_sets[set].size()) + " clouds, set " +
+                   std::to_string(set) + (outages ? " +outages" : ""));
+      Rng rng(set * 2 + outages + 17);
+      const Instance instance =
+          make_projection_instance(speed_sets[set], outages, rng);
       const Platform& platform = instance.platform;
       ResourceClock clock(instance, 0.0);
       for (int pass = 0; pass < 40; ++pass) {
@@ -270,6 +292,53 @@ TEST(Projection, FusedBestTargetMatchesPerTargetLoop) {
                   : static_cast<int>(rng.uniform_int(
                         kAllocEdge, platform.cloud_count() - 1));
           (void)clock.commit(platform, f, target);
+        }
+      }
+    }
+  }
+}
+
+// reset() must leave no trace of earlier passes: one clock reset and
+// reused across many random commit passes answers every query exactly as
+// a clock constructed fresh for that pass does.
+TEST(Projection, ResetClockMatchesFreshlyConstructedClock) {
+  const std::vector<std::vector<double>> speed_sets = cloud_speed_sets();
+  for (std::size_t set = 0; set < speed_sets.size(); ++set) {
+    for (const bool outages : {false, true}) {
+      SCOPED_TRACE(std::to_string(speed_sets[set].size()) + " clouds, set " +
+                   std::to_string(set) + (outages ? " +outages" : ""));
+      Rng rng(set * 2 + outages + 91);
+      const Instance instance =
+          make_projection_instance(speed_sets[set], outages, rng);
+      const Platform& platform = instance.platform;
+      ResourceClock reused(instance, 0.0);
+      for (int pass = 0; pass < 60; ++pass) {
+        const Time now = rng.uniform(0.0, 30.0);
+        reused.reset(now);
+        ResourceClock fresh(instance, now);
+        const int commits = static_cast<int>(rng.uniform_int(0, 20));
+        for (int i = 0; i <= commits; ++i) {
+          Job job;
+          const JobFields f = random_fields(platform, rng, job);
+          const auto got = reused.best_target_sticky(platform, f);
+          const auto want = fresh.best_target_sticky(platform, f);
+          ASSERT_EQ(got, want) << "pass " << pass << " job " << i;
+          for (int target = kAllocEdge; target < platform.cloud_count();
+               ++target) {
+            ASSERT_EQ(reused.project(platform, f, target),
+                      fresh.project(platform, f, target))
+                << "pass " << pass << " job " << i << " target " << target;
+            ASSERT_EQ(reused.starts_now(platform, f, target, now),
+                      fresh.starts_now(platform, f, target, now))
+                << "pass " << pass << " job " << i << " target " << target;
+          }
+          const int target =
+              rng.bernoulli(0.5)
+                  ? got.first
+                  : static_cast<int>(rng.uniform_int(
+                        kAllocEdge, platform.cloud_count() - 1));
+          ASSERT_EQ(reused.commit(platform, f, target),
+                    fresh.commit(platform, f, target));
         }
       }
     }
