@@ -52,29 +52,6 @@ void sort_ordered(std::vector<OrderedJob>& order) {
             });
 }
 
-void sort_ordered_presorted(std::vector<OrderedJob>& order) {
-  // Insertion sort with a move budget: O(n + inversions) on nearly sorted
-  // input; past 8 moves per entry the input is not nearly sorted, and
-  // std::sort finishes the job. (key, id) is a strict total order, so the
-  // result is the same either way.
-  const auto before = [](const OrderedJob& a, const OrderedJob& b) {
-    return a.key != b.key ? a.key < b.key : a.id < b.id;
-  };
-  std::size_t budget = 8 * order.size();
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const OrderedJob e = order[i];
-    std::size_t j = i;
-    for (; j > 0 && before(e, order[j - 1]); --j) order[j] = order[j - 1];
-    order[j] = e;
-    const std::size_t moves = i - j;
-    if (moves > budget) {
-      sort_ordered(order);
-      return;
-    }
-    budget -= moves;
-  }
-}
-
 void snapshot_pick_options(const SimView& view,
                            std::vector<PickOption>& out) {
   const Instance& instance = view.instance();

@@ -31,11 +31,6 @@ struct OrderedJob {
 /// so decide() and feasibility probes can never disagree on ordering.
 void sort_ordered(std::vector<OrderedJob>& order);
 
-/// Same result as sort_ordered, faster on nearly sorted input: an
-/// insertion sort, O(n + inversions), that hands over to sort_ordered
-/// when the input turns out to be far from sorted.
-void sort_ordered_presorted(std::vector<OrderedJob>& order);
-
 /// Fastest cloud still marked free in `cloud_free`, preferring clouds
 /// available right now; clouds inside an availability outage serve only as
 /// a fallback when nothing else is free. Returns -1 when no cloud is free.

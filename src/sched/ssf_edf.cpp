@@ -13,7 +13,6 @@ void SsfEdfPolicy::reset(const Instance& instance) {
   fields_.clear();
   slots_.clear();
   entries_.clear();
-  probe_order_.clear();
   kept_.clear();
   order_.clear();
 }
@@ -24,26 +23,14 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch) {
   // Deadlines for this candidate stretch. The EDF order depends on the
   // candidate (denominators differ between jobs), so the entries are
   // re-keyed and re-sorted for every probe — with the same (key, id)
-  // tie-break as decide(). Probes after the first of a decide() start from
-  // the previous probe's order, which a nearby stretch mostly keeps.
+  // tie-break as decide().
   entries_.clear();
-  if (probe_order_.size() == fields_.size()) {
-    for (const std::int32_t pos : probe_order_) {
-      const JobFields& s = fields_[static_cast<std::size_t>(pos)];
-      entries_.emplace_back(s.job->id, s.job->release + stretch * s.best_time,
-                            pos);
-    }
-    sort_ordered_presorted(entries_);
-  } else {
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      const JobFields& s = fields_[i];
-      entries_.emplace_back(s.job->id, s.job->release + stretch * s.best_time,
-                            static_cast<std::int32_t>(i));
-    }
-    sort_ordered(entries_);
+  for (std::size_t i = 0; i < fields_.size(); ++i) {
+    const JobFields& s = fields_[i];
+    entries_.emplace_back(s.job->id, s.job->release + stretch * s.best_time,
+                          static_cast<std::int32_t>(i));
   }
-  probe_order_.clear();
-  for (const OrderedJob& e : entries_) probe_order_.push_back(e.pos);
+  sort_ordered(entries_);
 
   clock_.reset(view.now());
   for (const OrderedJob& e : entries_) {
@@ -123,7 +110,6 @@ void SsfEdfPolicy::decide(const SimView& view,
     slots_.push_back(view.slot(id));
     fields_.push_back(view.fields_at_slot(slots_.back()));
   }
-  probe_order_.clear();
   if (contains_release(events)) {
     recompute_deadlines(view);
   }

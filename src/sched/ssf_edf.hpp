@@ -74,7 +74,6 @@ class SsfEdfPolicy final : public Policy {
   std::vector<JobFields> fields_;      ///< live jobs' fields, gathered once
   std::vector<std::int32_t> slots_;    ///< view.slot() of each fields_ entry
   std::vector<OrderedJob> entries_;    ///< the running probe's EDF entries
-  std::vector<std::int32_t> probe_order_;  ///< last probe's sorted positions
   std::vector<OrderedJob> kept_;       ///< last successful probe's entries
   double kept_stretch_ = 0.0;          ///< its stretch; NaN: none this call
   std::vector<OrderedJob> order_;      ///< decide()'s EDF order

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <stdexcept>
 
 #include "sim/policy.hpp"  // kTargetKeep, named by an assert
@@ -155,9 +154,6 @@ void ResourceClock::bind(const Platform& platform, Time now) {
     lane->resize(clouds);
   }
   fresh_.resize(clouds);
-  const std::vector<double>& speeds = platform.cloud_speeds();
-  uniform_clouds_ = std::adjacent_find(speeds.begin(), speeds.end(),
-                                       std::not_equal_to<>()) == speeds.end();
   outages_ = nullptr;
   bound_ = true;
   reset(now);
@@ -277,7 +273,6 @@ bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
   return starts_now(platform, fields_of(state), target, now);
 }
 
-template <bool UniformSpeed>
 void ResourceClock::fill_fresh(const std::vector<double>& speeds,
                                const Job& job, Time edge_send,
                                Time edge_recv) {
@@ -301,10 +296,8 @@ void ResourceClock::fill_fresh(const std::vector<double>& speeds,
   const Time* cpu = cloud_cpu_.data();
   const Time* send = cloud_send_.data();
   Time* fresh = fresh_.data();
-  const double uniform_exec =
-      UniformSpeed && clouds > 0 ? work / speed[0] : 0.0;
   for (std::size_t kc = 0; kc < clouds; ++kc) {
-    const double exec_time = UniformSpeed ? uniform_exec : work / speed[kc];
+    const double exec_time = work / speed[kc];
     const Time up_sum = max_value(edge_send, recv[kc]) + up;
     const Time up_end = has_up ? up_sum : now;
     const Time exec_start = max_value(up_end, cpu[kc]);
@@ -330,11 +323,7 @@ std::pair<int, Time> ResourceClock::best_target_sticky(
   // Fresh restarts on every cloud (the uplink is resent). f.alloc's entry
   // is computed too, then set to +inf below, which no target can lose to.
   if (outages_ == nullptr) {
-    if (uniform_clouds_) {
-      fill_fresh<true>(speeds, job, edge_send, edge_recv);
-    } else {
-      fill_fresh<false>(speeds, job, edge_send, edge_recv);
-    }
+    fill_fresh(speeds, job, edge_send, edge_recv);
   } else {
     for (std::size_t kc = 0; kc < fresh_.size(); ++kc) {
       fresh_[kc] = cloud_legs(kc, outages_of(static_cast<CloudId>(kc)), job.up,

@@ -164,8 +164,7 @@ class ResourceClock {
                                       double exec_time, double down,
                                       Time edge_send, Time edge_recv) const;
   /// Fills fresh_ with every cloud's fresh-restart completion of `job`
-  /// (no outages; `UniformSpeed`: one division for all clouds).
-  template <bool UniformSpeed>
+  /// (no outages).
   void fill_fresh(const std::vector<double>& speeds, const Job& job,
                   Time edge_send, Time edge_recv);
   [[nodiscard]] const IntervalSet* outages_of(CloudId k) const {
@@ -185,8 +184,6 @@ class ResourceClock {
   /// best_target_sticky's per-cloud completions (sized by bind()).
   std::vector<Time> fresh_;
   const std::vector<IntervalSet>* outages_ = nullptr;
-  /// All clouds share one speed (set by bind(); see fill_fresh).
-  bool uniform_clouds_ = false;
   bool bound_ = false;
   Time now_ = 0.0;
 };

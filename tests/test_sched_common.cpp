@@ -1,16 +1,11 @@
 // Tests for the shared policy helpers (sched/common.hpp): sticky target
 // selection (ResourceClock::best_target_sticky, which the list assignment
-// uses), the immediate-start list assignment and the (key, id) sorts.
+// uses) and the immediate-start list assignment.
 #include "sched/common.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <string>
-#include <vector>
-
 #include "sim/engine.hpp"
-#include "util/rng.hpp"
 
 namespace ecs {
 namespace {
@@ -122,55 +117,6 @@ TEST(ListAssign, OnlyImmediateStartersGetExplicitTargets) {
   // Priorities follow the key order.
   EXPECT_LT(directives[0].priority, directives[1].priority);
   EXPECT_LT(directives[1].priority, directives[2].priority);
-}
-
-void expect_same_order(const std::vector<OrderedJob>& got,
-                       const std::vector<OrderedJob>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
-    EXPECT_EQ(got[i].key, want[i].key) << "rank " << i;
-    EXPECT_EQ(got[i].pos, want[i].pos) << "rank " << i;
-  }
-}
-
-// The presorted sort must give sort_ordered's result on any input: nearly
-// sorted (its fast path), shuffled and reversed (its hand-over to
-// std::sort), with duplicate keys resolved by id.
-TEST(SortOrdered, PresortedMatchesSortOnAnyInput) {
-  enum Shape { kNearlySorted, kShuffled, kReversed };
-  Rng rng(7);
-  for (const std::size_t n : {0U, 1U, 2U, 17U, 64U, 500U}) {
-    for (const Shape shape : {kNearlySorted, kShuffled, kReversed}) {
-      SCOPED_TRACE("shape " + std::to_string(shape) + " n=" +
-                   std::to_string(n));
-      std::vector<OrderedJob> input;
-      for (std::size_t i = 0; i < n; ++i) {
-        // Distinct ids; few distinct keys, so key ties are common.
-        input.emplace_back(static_cast<JobId>(i * 7919 % 100003),
-                           static_cast<double>(rng.uniform_int(0, 40)),
-                           static_cast<std::int32_t>(i));
-      }
-      sort_ordered(input);
-      if (shape == kNearlySorted) {
-        for (std::size_t i = 0; i + 1 < n; i += 5) {
-          std::swap(input[i], input[i + 1]);
-        }
-      } else if (shape == kShuffled) {
-        for (std::size_t i = n; i > 1; --i) {
-          const auto j = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-          std::swap(input[i - 1], input[j]);
-        }
-      } else {
-        std::reverse(input.begin(), input.end());
-      }
-      std::vector<OrderedJob> want = input;
-      sort_ordered(want);
-      sort_ordered_presorted(input);
-      expect_same_order(input, want);
-    }
-  }
 }
 
 }  // namespace
