@@ -147,7 +147,9 @@ int main(int argc, char** argv) {
   double gated_speedup = 0.0;
   long gated_reps = 0;
   for (const long reps : {100L, 1000L}) {
-    const std::string suffix = "/" + std::to_string(reps) + "/real_time";
+    std::string suffix = "/";
+    suffix += std::to_string(reps);
+    suffix += "/real_time";
     const double tasks = time_of(reporter.rows(), "sweep_tasks" + suffix);
     const double batch = time_of(reporter.rows(), "sweep_batch" + suffix);
     if (tasks <= 0.0 || batch <= 0.0) continue;

@@ -196,8 +196,13 @@ inline bool wants_trace_artifacts(const CommonOptions& options) {
   obs::MetricsRegistry registry;
   std::optional<obs::InvariantWatchdog> watchdog;
   if (options.watchdog) watchdog.emplace();
+  // The profiler is the metrics artifacts' only source of phase timers
+  // (engine.profile.phase.*), so any of them attaches one.
   std::optional<obs::EngineProfiler> profiler;
-  if (!options.profile_path.empty()) profiler.emplace();
+  if (!options.profile_path.empty() || !options.metrics_path.empty() ||
+      !options.metrics_prom.empty()) {
+    profiler.emplace();
+  }
 
   RunOptions run_options;
   run_options.engine = options.sweep.engine;
@@ -230,14 +235,16 @@ inline bool wants_trace_artifacts(const CommonOptions& options) {
     // The metrics artifacts below carry the profile too (engine.profile.*
     // series), so one traced run yields one coherent snapshot.
     report.to_metrics(registry);
-    std::ofstream profile_file(options.profile_path);
-    if (!profile_file) {
-      std::cerr << "cannot write profile to " << options.profile_path
-                << "\n";
-    } else {
-      report.write_json(profile_file);
-      std::cout << "  profile JSON   -> " << options.profile_path
-                << "  (render with tools/trace_inspect --profile)\n";
+    if (!options.profile_path.empty()) {
+      std::ofstream profile_file(options.profile_path);
+      if (!profile_file) {
+        std::cerr << "cannot write profile to " << options.profile_path
+                  << "\n";
+      } else {
+        report.write_json(profile_file);
+        std::cout << "  profile JSON   -> " << options.profile_path
+                  << "  (render with tools/trace_inspect --profile)\n";
+      }
     }
   }
   if (!options.metrics_path.empty()) {

@@ -61,6 +61,7 @@ class StretchTailSink final : public obs::TraceSink {
       sketch_.observe(rec.value);
     }
   }
+  [[nodiscard]] bool wants_samples() const override { return false; }
   [[nodiscard]] const obs::QuantileSketch& sketch() const { return sketch_; }
 
  private:

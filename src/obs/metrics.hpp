@@ -3,8 +3,9 @@
 //
 // The registry is the aggregate companion of the trace stream (trace.hpp):
 // where a trace answers "what happened when", the registry answers "how
-// much, in total" — total preemptions, the stretch distribution, how long
-// the engine spent inside the policy versus arbitration.
+// much, in total" — total preemptions, the stretch distribution, and (via
+// ProfileReport::to_metrics, obs/profiler.hpp) how long the engine spent
+// inside the policy versus arbitration.
 //
 // Concurrency contract: instrument *registration* (counter()/gauge()/...)
 // takes a mutex and should happen at setup time; *updates* (add, observe,
@@ -17,12 +18,12 @@
 // worker and merge once at the end (obs/sketch.hpp; merging is exact).
 //
 // Like tracing, metrics are opt-in: the engine holds a nullable
-// MetricsRegistry* and skips all bookkeeping (including clock reads) when
-// it is null.
+// MetricsRegistry* and skips all bookkeeping when it is null. The engine
+// itself reads no clock for the registry; its phase timers come from the
+// profiler's one tick source.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -153,33 +154,6 @@ class MetricsRegistry {
   std::deque<Timer> timers_;
   std::deque<Histogram> histograms_;
   std::deque<Sketch> sketches_;
-};
-
-/// RAII wall-clock scope feeding a registry timer. A null registry makes
-/// the scope a true no-op: no clock is read.
-class ScopeTimer {
- public:
-  ScopeTimer(MetricsRegistry* registry, MetricsRegistry::Id id) noexcept
-      : registry_(registry), id_(id) {
-    if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-  ~ScopeTimer() {
-    if (registry_ != nullptr) {
-      const auto elapsed = std::chrono::steady_clock::now() - start_;
-      registry_->add_nanos(
-          id_, static_cast<std::uint64_t>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       elapsed)
-                       .count()));
-    }
-  }
-
- private:
-  MetricsRegistry* registry_;
-  MetricsRegistry::Id id_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace ecs::obs

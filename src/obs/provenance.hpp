@@ -78,6 +78,8 @@ class ProvenanceLog final : public TraceSink {
   void begin_trace(const TraceMeta& meta) override;
   void record(const TraceRecord& rec) override;
   void end_trace(Time makespan) override;
+  /// Counters and job-less instants map to no provenance step.
+  [[nodiscard]] bool wants_samples() const override { return false; }
 
   [[nodiscard]] const TraceMeta& meta() const noexcept { return meta_; }
   [[nodiscard]] Time makespan() const noexcept { return makespan_; }

@@ -11,6 +11,9 @@
 // a nullable TraceSink* and every emission sits behind a null check, so an
 // untraced simulation runs the exact same arithmetic in the exact same
 // order as a traced one (tests/test_obs.cpp asserts bit-identical results).
+// A sink that ignores counter samples and the per-round kDecision instant
+// says so through wants_samples(); the engine then skips producing them
+// (the live max-stretch sample alone is an O(live) scan per round).
 //
 // Sinks are single-run, single-threaded objects. Concrete sinks:
 //   * MemoryTraceSink (here)          - buffers records, for tests;
@@ -110,6 +113,13 @@ class TraceSink {
   virtual void begin_trace(const TraceMeta& meta) { (void)meta; }
   virtual void record(const TraceRecord& rec) = 0;
   virtual void end_trace(Time makespan) { (void)makespan; }
+
+  /// Whether this sink reads the sampled part of the stream: the kCounter
+  /// records and the job-less kDecision instant emitted every decision
+  /// round. The engine asks once per run and emits neither when the answer
+  /// is false; every other record arrives unchanged. Sinks that drop those
+  /// records anyway return false to save their cost.
+  [[nodiscard]] virtual bool wants_samples() const { return true; }
 };
 
 /// Buffers everything in memory; the sink used by the test suite.
@@ -153,6 +163,13 @@ class TeeTraceSink final : public TraceSink {
   }
   void end_trace(Time makespan) override {
     for (TraceSink* s : sinks_) s->end_trace(makespan);
+  }
+  /// Samples are produced when any child reads them; the others drop them.
+  [[nodiscard]] bool wants_samples() const override {
+    for (const TraceSink* s : sinks_) {
+      if (s->wants_samples()) return true;
+    }
+    return false;
   }
 
  private:

@@ -112,6 +112,8 @@ void InvariantWatchdog::remember_provenance(const ProvenanceRecord& rec) {
   if (idx < 0) return;  // job already retired past the window
   std::vector<ProvenanceRecord>& ring = rings_[idx];
   if (ring.size() < static_cast<std::size_t>(depth_)) {
+    // One allocation per job, not one per doubling on the way to depth_.
+    if (ring.empty()) ring.reserve(static_cast<std::size_t>(depth_));
     ring.push_back(rec);
     ring_next_[idx] = static_cast<std::uint32_t>(ring.size()) %
                       static_cast<std::uint32_t>(depth_);

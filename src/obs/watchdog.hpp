@@ -4,9 +4,10 @@
 // SAME structural invariants *while the run executes*, flagging the
 // violation at the offending event instead of at the end of the run. It is
 // a TraceSink: attach it through EngineConfig::watchdog (sim/engine.hpp)
-// and the engine tees its trace stream into it — the same nullable-observer
-// pattern as trace/metrics, so a run without a watchdog is bit-identical
-// and pays nothing.
+// and the engine routes its trace stream into it — directly, or through a
+// tee beside a user sink — the same nullable-observer pattern as
+// trace/metrics, so a run without a watchdog is bit-identical and pays
+// nothing.
 //
 // The stream arrives in non-decreasing close time (spans are emitted when
 // they end, instants at their time). That ordering makes every check O(1)
@@ -81,6 +82,8 @@ class InvariantWatchdog final : public TraceSink {
   void begin_trace(const TraceMeta& meta) override;
   void record(const TraceRecord& rec) override;
   void end_trace(Time makespan) override;
+  /// Counters and job-less instants carry nothing the checks read.
+  [[nodiscard]] bool wants_samples() const override { return false; }
 
   [[nodiscard]] bool ok() const noexcept { return total_violations_ == 0; }
   /// Total violations detected (may exceed violations().size(): storage is

@@ -59,11 +59,7 @@ EngineInstruments::EngineInstruments(obs::MetricsRegistry& registry)
                           24.0, 32.0, 64.0, 128.0})),
       queue_wait(registry.histogram(
           "job.queue_wait",
-          {0.0, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0})),
-      phase_policy(registry.timer("engine.phase.policy")),
-      phase_allocate(registry.timer("engine.phase.allocate")),
-      phase_activate(registry.timer("engine.phase.activate")),
-      phase_faults(registry.timer("engine.phase.faults")) {}
+          {0.0, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0})) {}
 
 void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
                          Policy& policy, const EngineConfig& config) {
@@ -76,14 +72,19 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
   config_ = config;
   trace_ = config.trace;
   metrics_ = config.metrics;
-  // A watchdog taps the trace stream through an internal tee, so it works
-  // with or without a user trace sink attached.
+  // A watchdog alone is the trace sink; beside a user sink, an internal tee
+  // feeds both.
   tee_ = obs::TeeTraceSink{};
   if (config.watchdog != nullptr) {
-    tee_.add(config.trace);
-    tee_.add(config.watchdog);
-    trace_ = &tee_;
+    if (config.trace == nullptr) {
+      trace_ = config.watchdog;
+    } else {
+      tee_.add(config.trace);
+      tee_.add(config.watchdog);
+      trace_ = &tee_;
+    }
   }
+  trace_samples_ = trace_ != nullptr && trace_->wants_samples();
   provenance_on_ =
       (config.provenance || config.watchdog != nullptr) && trace_ != nullptr;
 #if ECS_PROFILE
@@ -709,9 +710,9 @@ void EngineCore::decide_and_activate() {
                                   &live_sorted_, ids)
                         : SimView(*instance_, pool_, now_, &live_sorted_, ids);
     // Two steady-clock reads per round are measurable at batch scale, so
-    // the policy timer sits behind a switch (EngineConfig::time_policy); a
-    // metrics registry needs the readings for its phase timer either way.
-    const bool timed = config_.time_policy || metrics_ != nullptr;
+    // the policy timer sits behind a switch (EngineConfig::time_policy,
+    // off by default; the profiler's kDecide phase times the same span).
+    const bool timed = config_.time_policy;
     std::chrono::steady_clock::time_point t0;
     if (timed) t0 = std::chrono::steady_clock::now();
     directives.clear();
@@ -719,19 +720,12 @@ void EngineCore::decide_and_activate() {
     if (timed) {
       const auto t1 = std::chrono::steady_clock::now();
       stats_.policy_seconds += std::chrono::duration<double>(t1 - t0).count();
-      if (metrics_ != nullptr) {
-        metrics_->add_nanos(
-            ids_->phase_policy,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()));
-      }
     }
     decided_once_ = true;
     membership_changed_ = false;
   }
   ++stats_.decisions;
-  if (trace_ != nullptr) {
+  if (trace_samples_) {
     trace_instant(obs::TracePoint::kDecision, -1, -1,
                   static_cast<double>(directives.size()));
   }
@@ -764,12 +758,8 @@ void EngineCore::decide_and_activate() {
   if (streaming_ && !retire_queue_.empty()) flush_retired();
 
   // 3. Apply allocation changes (the re-execution rule).
-  {
-    const obs::ScopeTimer timer(
-        metrics_, metrics_ != nullptr ? ids_->phase_allocate : 0);
-    for (const Directive& d : directives) {
-      apply_directive(d);
-    }
+  for (const Directive& d : directives) {
+    apply_directive(d);
   }
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kAllocate);
 
@@ -777,66 +767,62 @@ void EngineCore::decide_and_activate() {
   //    directive keep their allocation at the lowest priority, ordered by
   //    id, so the engine stays work-conserving and deterministic.
   granted_ = 0;
-  {
-    const obs::ScopeTimer timer(
-        metrics_, metrics_ != nullptr ? ids_->phase_activate : 0);
-    if (directives.empty()) {
-      // Fast path: no explicit directives means every live job is an
-      // implicit keep with the same kTimeInfinity key, whose (key, id)
-      // sort is exactly ascending id — i.e. live_sorted_ as-is. Skip the
-      // order buffer and the sort altogether.
-      busy_.clear();
-      for (const JobId id : live_sorted_) {
-        try_activate(find_slot(id));
+  if (directives.empty()) {
+    // Fast path: no explicit directives means every live job is an
+    // implicit keep with the same kTimeInfinity key, whose (key, id)
+    // sort is exactly ascending id — i.e. live_sorted_ as-is. Skip the
+    // order buffer and the sort altogether.
+    busy_.clear();
+    for (const JobId id : live_sorted_) {
+      try_activate(find_slot(id));
+    }
+  } else {
+    order_.clear();
+    for (const Directive& d : directives) {
+      const std::int32_t slot = find_slot(d.job);
+      if (slot >= 0 && pool_.live(slot)) {
+        order_.push_back({d.priority, d.job});
       }
-    } else {
-      order_.clear();
-      for (const Directive& d : directives) {
-        const std::int32_t slot = find_slot(d.job);
-        if (slot >= 0 && pool_.live(slot)) {
-          order_.push_back({d.priority, d.job});
-        }
+    }
+    // Round stamps replace a per-round O(n) boolean reset: a job is
+    // "seen" iff its stamp equals the current round's.
+    if (++round_ == 0) {  // wrap: old stamps could collide, wipe them
+      seen_round_.assign(seen_round_.size(), 0);
+      round_ = 1;
+    }
+    for (const auto& [prio, id] : order_) {
+      seen_round_[find_slot(id)] = round_;
+    }
+    for (const JobId id : live_sorted_) {
+      if (seen_round_[find_slot(id)] != round_) {
+        order_.push_back({kTimeInfinity, id});
       }
-      // Round stamps replace a per-round O(n) boolean reset: a job is
-      // "seen" iff its stamp equals the current round's.
-      if (++round_ == 0) {  // wrap: old stamps could collide, wipe them
-        seen_round_.assign(seen_round_.size(), 0);
-        round_ = 1;
-      }
-      for (const auto& [prio, id] : order_) {
-        seen_round_[find_slot(id)] = round_;
-      }
-      for (const JobId id : live_sorted_) {
-        if (seen_round_[find_slot(id)] != round_) {
-          order_.push_back({kTimeInfinity, id});
-        }
-      }
-      // (priority, id) pairs only tie when they are fully identical
-      // (duplicate directives), so a plain sort yields the same sequence a
-      // stable sort would — without libstdc++'s temporary buffer.
-      std::sort(order_.begin(), order_.end(),
-                [](const auto& a, const auto& b) {
-                  return a.first != b.first ? a.first < b.first
-                                            : a.second < b.second;
-                });
+    }
+    // (priority, id) pairs only tie when they are fully identical
+    // (duplicate directives), so a plain sort yields the same sequence a
+    // stable sort would — without libstdc++'s temporary buffer.
+    std::sort(order_.begin(), order_.end(),
+              [](const auto& a, const auto& b) {
+                return a.first != b.first ? a.first < b.first
+                                          : a.second < b.second;
+              });
 
-      busy_.clear();
-      for (const auto& [prio, id] : order_) {
-        try_activate(find_slot(id));
-      }
+    busy_.clear();
+    for (const auto& [prio, id] : order_) {
+      try_activate(find_slot(id));
     }
-    // Completions must fire in job-id order (policies and traces observe
-    // the event order), so keep the active set id-sorted between rounds.
-    // Slots are not id-ordered in streaming mode, hence the comparator;
-    // in materialized mode slot == id, so a plain value sort suffices.
-    if (streaming_) {
-      std::sort(active_ids_.begin(), active_ids_.end(),
-                [this](std::int32_t a, std::int32_t b) {
-                  return pool_.job(a).id < pool_.job(b).id;
-                });
-    } else {
-      std::sort(active_ids_.begin(), active_ids_.end());
-    }
+  }
+  // Completions must fire in job-id order (policies and traces observe
+  // the event order), so keep the active set id-sorted between rounds.
+  // Slots are not id-ordered in streaming mode, hence the comparator;
+  // in materialized mode slot == id, so a plain value sort suffices.
+  if (streaming_) {
+    std::sort(active_ids_.begin(), active_ids_.end(),
+              [this](std::int32_t a, std::int32_t b) {
+                return pool_.job(a).id < pool_.job(b).id;
+              });
+  } else {
+    std::sort(active_ids_.begin(), active_ids_.end());
   }
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kActivate);
 
@@ -849,7 +835,7 @@ void EngineCore::decide_and_activate() {
   if (metrics_ != nullptr) {
     metrics_->gauge_set(ids_->queue_depth, static_cast<double>(waiting));
   }
-  if (trace_ != nullptr) sample_counters(waiting);
+  if (trace_samples_) sample_counters(waiting);
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kEmit);
 }
 
@@ -1270,12 +1256,6 @@ std::string EngineCore::describe_live_jobs() const {
 /// (progress fully discarded — the machine's memory is gone) and corrupts
 /// in-flight messages at loss instants.
 void EngineCore::fire_faults() {
-  if (next_wake_ >= wakes_.size() ||
-      !time_le(wakes_[next_wake_].time, now_)) {
-    return;  // nothing due; skip the phase timer's clock reads
-  }
-  const obs::ScopeTimer timer(metrics_,
-                              metrics_ != nullptr ? ids_->phase_faults : 0);
   while (next_wake_ < wakes_.size() &&
          time_le(wakes_[next_wake_].time, now_)) {
     const FaultWake& wake = wakes_[next_wake_];

@@ -119,11 +119,12 @@ struct EngineConfig {
   /// off a streaming run's memory is O(live), independent of total jobs.
   bool record_completions = true;
   /// Measure the wall time spent inside the policy (two steady-clock reads
-  /// per decision round, accumulated into SimStats::policy_seconds). The
-  /// batch driver turns this off — at thousands of tiny replications the
-  /// clock reads are measurable, and the driver times whole runs itself —
-  /// so policy_seconds reads 0 there. Never affects simulation results.
-  bool time_policy = true;
+  /// per decision round, accumulated into SimStats::policy_seconds). Off by
+  /// default, so policy_seconds reads 0: at thousands of tiny replications
+  /// the clock reads are measurable, and an attached EngineProfiler times
+  /// the same span (its kDecide phase) from one tick source. Never affects
+  /// simulation results.
+  bool time_policy = false;
   /// Fill SimResult::admission_log (one record per rejection or shed).
   /// Under sustained overload the log grows with the REFUSED count, not the
   /// live set, so soak-scale runs must turn it off along with the two
@@ -152,8 +153,9 @@ struct EngineConfig {
   /// Null (the default) costs nothing: every emission sits behind a null
   /// check and a traced run is bit-identical to an untraced one.
   obs::TraceSink* trace = nullptr;
-  /// Optional metrics registry (obs/metrics.hpp): engine-phase timers,
-  /// stretch / queue-wait histograms, and counters mirroring SimStats. Not
+  /// Optional metrics registry (obs/metrics.hpp): stretch / queue-wait
+  /// histograms, and counters and gauges mirroring SimStats. Phase timers
+  /// come from the profiler (ProfileReport::to_metrics), not from here. Not
   /// owned; thread-safe, so one registry may be shared across the runs of a
   /// parallel sweep to accumulate totals. Null = no bookkeeping.
   obs::MetricsRegistry* metrics = nullptr;
@@ -185,8 +187,9 @@ struct EngineConfig {
   /// Optional online invariant watchdog (obs/watchdog.hpp): checks the
   /// one-port, precedence, no-migration, exclusivity and release invariants
   /// at the offending event. Not owned; must outlive simulate(). Setting a
-  /// watchdog routes the trace stream into it (even when `trace` is null)
-  /// and implies `provenance`, so violations can link the decisions that
+  /// watchdog routes the trace stream into it — as the only sink when
+  /// `trace` is null, else through an internal tee beside `trace` — and
+  /// implies `provenance`, so violations can link the decisions that
   /// caused them. Null (the default) costs nothing.
   obs::InvariantWatchdog* watchdog = nullptr;
 };
@@ -222,7 +225,7 @@ struct SimStats {
   std::uint64_t rejections = 0;  ///< arrivals refused at release
   std::uint64_t sheds = 0;       ///< admitted never-started jobs evicted
   double max_stretch = 0.0;      ///< max realized stretch over completed jobs
-  double policy_seconds = 0.0;     ///< wall time spent inside the policy
+  double policy_seconds = 0.0;  ///< policy wall time (time_policy only)
 };
 
 struct SimResult {

@@ -47,7 +47,6 @@ struct EngineInstruments {
   Id peak_live;               ///< gauge; live-set high-water mark
   Id peak_tracked;            ///< gauge; id-map high-water mark (streaming)
   Id stretch, queue_wait;     ///< histograms
-  Id phase_policy, phase_allocate, phase_activate, phase_faults;  ///< timers
 
   explicit EngineInstruments(obs::MetricsRegistry& registry);
 };
@@ -339,7 +338,10 @@ class EngineCore {
   obs::EngineProfiler* profiler_ = nullptr;
   obs::HeartbeatMonitor* heartbeat_ = nullptr;  ///< ticked once per round
   std::optional<EngineInstruments> ids_;  ///< engaged iff metrics_ != nullptr
-  obs::TeeTraceSink tee_;  ///< user sink + watchdog, when a watchdog is set
+  obs::TeeTraceSink tee_;  ///< user sink + watchdog, when both are set
+  /// Cached trace_->wants_samples(): gates the per-round kDecision instant
+  /// and the counter samples, which sinks like the watchdog never read.
+  bool trace_samples_ = false;
   bool provenance_on_ = false;
   /// Sentinel for "no directive emitted yet" in last_dir_target_ (any
   /// value no allocation can take).

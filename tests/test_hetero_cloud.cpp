@@ -102,7 +102,7 @@ TEST(HeteroCloud, PoliciesPreferFasterCloud) {
   Instance instance;
   instance.platform = Platform({0.2}, std::vector<double>{1.0, 3.0});
   instance.jobs = {{0, 0, 6.0, 0.0, 0.5, 0.5}};
-  for (const std::string& name : {"greedy", "srpt", "ssf-edf", "fcfs"}) {
+  for (const char* name : {"greedy", "srpt", "ssf-edf", "fcfs"}) {
     const auto policy = make_policy(name);
     const SimResult result = simulate(instance, *policy);
     require_valid_schedule(instance, result.schedule);

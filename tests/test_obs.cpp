@@ -15,6 +15,8 @@
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto_sink.hpp"
+#include "obs/profiler.hpp"
+#include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "sched/factory.hpp"
 #include "sched/fixed.hpp"
@@ -256,13 +258,56 @@ TEST(ObsMetrics, CountersGaugesTimersAndJson) {
   EXPECT_EQ(root.at("histograms").at("h").at("counts").array.size(), 2u);
 }
 
-TEST(ObsMetrics, ScopeTimerIsNoopOnNullRegistry) {
+TEST(ObsMetrics, EnginePhaseTimersComeOnlyFromTheProfiler) {
+  const Instance instance = busy_instance();
   obs::MetricsRegistry registry;
-  const obs::MetricsRegistry::Id id = registry.timer("t");
-  { const obs::ScopeTimer timer(&registry, id); }
-  EXPECT_EQ(registry.timer_value("t").count, 1u);
-  { const obs::ScopeTimer none(nullptr, id); }
-  EXPECT_EQ(registry.timer_value("t").count, 1u);
+  obs::EngineProfiler profiler;
+  EngineConfig config;
+  config.metrics = &registry;
+  const auto policy = make_policy("srpt");
+  const SimResult result = simulate(instance, *policy, config);
+
+  // The engine registers no wall-clock phase timer of its own...
+  for (const char* phase : {"policy", "allocate", "activate", "faults"}) {
+    EXPECT_THROW((void)registry.timer_value(std::string("engine.phase.") +
+                                            phase),
+                 std::out_of_range)
+        << phase;
+  }
+  // ...while its counters still mirror SimStats.
+  EXPECT_EQ(registry.counter_value("engine.events"), result.stats.events);
+  EXPECT_EQ(registry.counter_value("engine.decisions"),
+            result.stats.decisions);
+  EXPECT_EQ(registry.counter_value("engine.reassignments"),
+            result.stats.reassignments);
+  EXPECT_EQ(registry.counter_value("engine.preemptions"),
+            result.stats.preemptions);
+  EXPECT_EQ(registry.gauge_value("engine.ready_queue_depth").max,
+            static_cast<double>(result.stats.max_queue_depth));
+  EXPECT_EQ(registry.histogram_value("job.stretch").count,
+            static_cast<std::uint64_t>(instance.job_count()));
+
+  // Phase timers reach a registry through the profiler's report.
+  config.profiler = &profiler;
+  const auto profiled = make_policy("srpt");
+  (void)simulate(instance, *profiled, config);
+  profiler.report().to_metrics(registry);
+#if ECS_PROFILE
+  EXPECT_GT(registry.timer_value("engine.profile.phase.decide").count, 0u);
+#endif
+}
+
+TEST(ObsTrace, TeeWantsSamplesWhenAnyChildDoes) {
+  obs::MemoryTraceSink memory;
+  obs::ProvenanceLog provenance;
+  obs::TeeTraceSink tee;
+  EXPECT_FALSE(tee.wants_samples());  // no child reads anything
+  tee.add(&provenance);
+  EXPECT_FALSE(provenance.wants_samples());
+  EXPECT_FALSE(tee.wants_samples());
+  tee.add(&memory);
+  EXPECT_TRUE(memory.wants_samples());
+  EXPECT_TRUE(tee.wants_samples());
 }
 
 TEST(ObsJson, NonFiniteNumbersRoundTrip) {

@@ -296,12 +296,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          "srpt-noreexec", "ssf-edf", "fcfs",
                                          "failover-srpt"),
                        ::testing::Range(0, kWorldCount)),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param);
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      const int world = std::get<1>(info.param);
+      const int world = std::get<1>(param_info.param);
       if (world == kHeteroCloudWorld) return name + "_hetero_clouds";
       if (world == kNearTieWorld) return name + "_near_ties";
       return name + "_seed" + std::to_string(world);
@@ -329,10 +329,10 @@ INSTANTIATE_TEST_SUITE_P(
     AlphasBySeeds, SsfEdfAlpha,
     ::testing::Combine(::testing::Values(0.5, 4.0),
                        ::testing::Range(0, kWorldCount)),
-    [](const auto& info) {
-      const double alpha = std::get<0>(info.param);
+    [](const auto& param_info) {
+      const double alpha = std::get<0>(param_info.param);
       return std::string(alpha < 1.0 ? "alpha_half" : "alpha_4") + "_world" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<1>(param_info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -442,8 +442,8 @@ INSTANTIATE_TEST_SUITE_P(AllFactoryPolicies, ZeroAllocation,
                          ::testing::Values("edge-only", "greedy", "srpt",
                                            "srpt-noreexec", "ssf-edf",
                                            "fcfs", "failover-srpt"),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& param_info) {
+                           std::string name = param_info.param;
                            for (char& c : name) {
                              if (c == '-') c = '_';
                            }

@@ -227,7 +227,7 @@ void expect_same_variant(const Variant& a, const Variant& b) {
 // --- 1. A profiled run is bit-identical to an unprofiled one. -------------
 
 TEST(ProfilerInvisibility, ProfiledRunIsBitIdentical) {
-  for (const std::string& policy : {"srpt", "greedy", "fcfs"}) {
+  for (const char* policy : {"srpt", "greedy", "fcfs"}) {
     for (int seed = 0; seed < 6; ++seed) {
       FaultPlan faults;
       const Instance instance = make_instance(seed, &faults);
@@ -237,7 +237,7 @@ TEST(ProfilerInvisibility, ProfiledRunIsBitIdentical) {
           run_variant(instance, policy, faults, admission, &profiler);
       const Variant without =
           run_variant(instance, policy, faults, admission, nullptr);
-      SCOPED_TRACE(policy + " seed " + std::to_string(seed));
+      SCOPED_TRACE(std::string(policy) + " seed " + std::to_string(seed));
       expect_same_variant(with, without);
       // And the profiler did observe the run it rode along on.
       EXPECT_EQ(profiler.report().events, with.result.stats.events);

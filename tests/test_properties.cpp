@@ -135,7 +135,7 @@ TEST_P(PolicyProperties, ModelInvariantsHold) {
 std::vector<PropertyParam> property_grid() {
   std::vector<PropertyParam> params;
   const int scenario_count = static_cast<int>(scenarios().size());
-  for (const std::string& policy :
+  for (const char* policy :
        {"edge-only", "greedy", "srpt", "ssf-edf", "fcfs"}) {
     for (int scenario = 0; scenario < scenario_count; ++scenario) {
       for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {

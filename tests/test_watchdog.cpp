@@ -4,10 +4,13 @@
 // the jobs involved; every engine-produced run must come out clean. These
 // are the online twins of the offline validator tests (test_validate.cpp):
 // the same one-port / precedence / migration invariants, caught mid-run.
+// The sample-gate tests pin that attaching a watchdog changes nothing a
+// teed sink sees, and that the watchdog itself is spared the counters.
 #include "obs/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "obs/reason.hpp"
 #include "obs/trace.hpp"
 #include "sched/factory.hpp"
+#include "sim/arrivals.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "util/rng.hpp"
@@ -264,7 +268,7 @@ TEST(Watchdog, EngineRunsComeOutClean) {
        {"greedy", "srpt", "ssf-edf", "failover-srpt", "edge-only"}) {
     obs::InvariantWatchdog watchdog;
     EngineConfig config;
-    config.watchdog = &watchdog;  // no user trace sink: engine tees itself
+    config.watchdog = &watchdog;  // no user trace sink: the only sink
     config.faults = plan;
     const auto policy = make_policy(name);
     (void)simulate(instance, *policy, config);
@@ -274,6 +278,142 @@ TEST(Watchdog, EngineRunsComeOutClean) {
       return out.str();
     }();
     EXPECT_GT(watchdog.spans_checked(), 0u) << name;
+  }
+}
+
+// --- the sample gate: sinks that drop counters never cause them ---
+
+/// The worlds the sample-gate tests run: a materialized one under crashes
+/// and message losses, and a streaming one under admission control.
+enum class GateWorld { kFaulted, kStreaming };
+
+/// Runs one gate world with `config`'s observers attached.
+SimResult run_gate_world(GateWorld world, EngineConfig config) {
+  RandomInstanceConfig cfg;
+  cfg.n = 120;
+  cfg.ccr = 1.0;
+  cfg.load = world == GateWorld::kFaulted ? 0.8 : 8.0;
+  Rng rng(world == GateWorld::kFaulted ? 11 : 1234);
+  const Instance instance = make_random_instance(cfg, rng);
+  const auto policy = make_policy("srpt");
+  if (world == GateWorld::kFaulted) {
+    FaultConfig fault_cfg;
+    fault_cfg.crash_rate = 0.01;
+    fault_cfg.loss_rate = 0.01;
+    fault_cfg.mean_repair = 20.0;
+    Rng fault_rng(13);
+    config.faults = make_fault_plan(instance.platform.cloud_count(),
+                                    fault_cfg, fault_rng);
+    return simulate(instance, *policy, config);
+  }
+  config.admission.max_live = 12;
+  config.admission.rule = AdmissionRule::kRejectHopeless;
+  Instance base;
+  base.platform = instance.platform;
+  InstanceArrivalStream arrivals(instance);
+  return simulate_stream(base, arrivals, *policy, config);
+}
+
+constexpr GateWorld kGateWorlds[] = {GateWorld::kFaulted,
+                                     GateWorld::kStreaming};
+
+TEST(WatchdogSampleGate, TeedSinkSeesTheSameRecordsWithOrWithoutWatchdog) {
+  for (const GateWorld world : kGateWorlds) {
+    // A watchdog implies provenance, so the plain run asks for it too.
+    obs::MemoryTraceSink plain;
+    EngineConfig plain_cfg;
+    plain_cfg.trace = &plain;
+    plain_cfg.provenance = true;
+    const SimResult a = run_gate_world(world, plain_cfg);
+
+    obs::MemoryTraceSink teed;
+    obs::InvariantWatchdog watchdog;
+    EngineConfig teed_cfg;
+    teed_cfg.trace = &teed;
+    teed_cfg.watchdog = &watchdog;
+    const SimResult b = run_gate_world(world, teed_cfg);
+
+    const int w = static_cast<int>(world);
+    EXPECT_TRUE(watchdog.ok()) << w;
+    EXPECT_EQ(a.stats.events, b.stats.events) << w;
+    EXPECT_EQ(plain.meta(), teed.meta()) << w;
+    EXPECT_EQ(plain.makespan(), teed.makespan()) << w;
+    ASSERT_EQ(plain.records().size(), teed.records().size()) << w;
+    EXPECT_TRUE(plain.records() == teed.records()) << w;
+    // Both worlds exercise the sampled records the watchdog skips.
+    EXPECT_NE(std::count_if(plain.records().begin(), plain.records().end(),
+                            [](const obs::TraceRecord& r) {
+                              return r.kind == obs::TraceKind::kCounter;
+                            }),
+              0)
+        << w;
+  }
+}
+
+TEST(WatchdogSampleGate, WatchdogAloneReceivesNoSamples) {
+  for (const GateWorld world : kGateWorlds) {
+    obs::MemoryTraceSink memory;
+    EngineConfig memory_cfg;
+    memory_cfg.trace = &memory;
+    memory_cfg.provenance = true;
+    (void)run_gate_world(world, memory_cfg);
+
+    obs::InvariantWatchdog watchdog;
+    EngineConfig watchdog_cfg;
+    watchdog_cfg.watchdog = &watchdog;
+    (void)run_gate_world(world, watchdog_cfg);
+
+    // The watchdog sees every record but the counters and the per-round
+    // kDecision instants. Cloud-level fault and recovery instants are the
+    // only other job-less ones, so a fault-free world hands it exactly the
+    // records that carry a job or are not instants at all.
+    std::uint64_t unsampled = 0, with_job = 0;
+    for (const obs::TraceRecord& r : memory.records()) {
+      const bool instant = r.kind == obs::TraceKind::kInstant;
+      if (r.kind != obs::TraceKind::kCounter &&
+          !(instant && r.point == obs::TracePoint::kDecision)) {
+        ++unsampled;
+      }
+      if (r.kind != obs::TraceKind::kCounter && !(instant && r.job < 0)) {
+        ++with_job;
+      }
+    }
+    const int w = static_cast<int>(world);
+    EXPECT_TRUE(watchdog.ok()) << w;
+    EXPECT_EQ(watchdog.records_seen(), unsampled) << w;
+    if (world == GateWorld::kStreaming) {
+      EXPECT_EQ(watchdog.records_seen(), with_job);
+    } else {
+      EXPECT_GT(watchdog.records_seen(), with_job);  // crash instants
+    }
+  }
+}
+
+TEST(WatchdogSampleGate, ProvenanceChainsIgnoreATeedSampleReader) {
+  for (const GateWorld world : kGateWorlds) {
+    obs::ProvenanceLog alone;
+    EngineConfig alone_cfg;
+    alone_cfg.trace = &alone;
+    alone_cfg.provenance = true;
+    (void)run_gate_world(world, alone_cfg);
+
+    obs::ProvenanceLog beside;
+    obs::MemoryTraceSink memory;
+    obs::TeeTraceSink tee;
+    tee.add(&beside);
+    tee.add(&memory);
+    EngineConfig tee_cfg;
+    tee_cfg.trace = &tee;
+    tee_cfg.provenance = true;
+    (void)run_gate_world(world, tee_cfg);
+
+    const int w = static_cast<int>(world);
+    ASSERT_EQ(alone.job_count(), beside.job_count()) << w;
+    EXPECT_GT(alone.job_count(), 0) << w;
+    EXPECT_EQ(alone.makespan(), beside.makespan()) << w;
+    for (JobId j = 0; j < alone.job_count(); ++j) {
+      EXPECT_TRUE(alone.chain(j) == beside.chain(j)) << w << " job " << j;
+    }
   }
 }
 
