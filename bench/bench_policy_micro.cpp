@@ -10,6 +10,12 @@
 //    workspace reuse (zero steady-state allocation), the O(live) span
 //    iteration and — for SSF-EDF — the warm-started stretch search.
 //
+//  * policy_decide/{greedy,srpt}_ties/<live> — the same round with every
+//    job duplicated (equal origin, release and amounts). Twins tie within
+//    kDecisionMargin, so the value-ordered index cannot settle their picks
+//    and the pick loops fall back to the scan: the worst case of the
+//    index.
+//
 //  * policy_sim_sparse/<policy>[_ref]/<n> — ns per decision over a full
 //    simulate() of an n-job sparse-arrival instance whose live set stays
 //    bounded (a few jobs) regardless of n. This is the headline O(live)
@@ -46,17 +52,27 @@ std::unique_ptr<ecs::Policy> make_any_policy(const std::string& name,
 
 /// One decision round, directly driven: every job of a random instance is
 /// live and unassigned, and the event batch carries one release so the
-/// deadline-recompute (stretch search) paths run on every call.
+/// deadline-recompute (stretch search) paths run on every call. With
+/// `copies` > 1 the instance has live_count / copies jobs, each repeated
+/// `copies` times.
 struct DirectScenario {
-  explicit DirectScenario(int live_count) {
+  explicit DirectScenario(int live_count, int copies = 1) {
     ecs::RandomInstanceConfig cfg;
-    cfg.n = live_count;
+    cfg.n = live_count / copies;
     cfg.cloud_count = 3;
     cfg.slow_edges = 2;
     cfg.fast_edges = 2;
     cfg.load = 0.3;
     ecs::Rng rng(42);
-    instance = make_random_instance(cfg, rng);
+    const ecs::Instance base = make_random_instance(cfg, rng);
+    instance.platform = base.platform;
+    for (const ecs::Job& job : base.jobs) {
+      for (int copy = 0; copy < copies; ++copy) {
+        ecs::Job twin = job;
+        twin.id = instance.job_count();
+        instance.jobs.push_back(twin);
+      }
+    }
 
     now = 0.0;
     for (const ecs::Job& job : instance.jobs) {
@@ -83,8 +99,8 @@ struct DirectScenario {
 };
 
 void policy_decide(benchmark::State& state, const char* policy_name,
-                   bool use_ref) {
-  const DirectScenario scenario(static_cast<int>(state.range(0)));
+                   bool use_ref, int copies = 1) {
+  const DirectScenario scenario(static_cast<int>(state.range(0)), copies);
   const ecs::SimView view(scenario.instance, scenario.states, scenario.now,
                           &scenario.live);
   const auto policy = make_any_policy(policy_name, use_ref);
@@ -156,6 +172,11 @@ ECS_POLICY_DECIDE_BENCH(edge_only, "edge-only");
 ECS_POLICY_DECIDE_BENCH(failover_srpt, "failover-srpt");
 
 #undef ECS_POLICY_DECIDE_BENCH
+
+BENCHMARK_CAPTURE(policy_decide, greedy_ties, "greedy", false, 2)
+    ->Arg(64)->Arg(256);
+BENCHMARK_CAPTURE(policy_decide, srpt_ties, "srpt", false, 2)
+    ->Arg(64)->Arg(256);
 
 // The headline O(live) vs O(n) series: SSF-EDF over a growing instance
 // with a bounded live set. The reference re-scans all n states (and cold

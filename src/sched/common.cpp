@@ -1,5 +1,7 @@
 #include "sched/common.hpp"
 
+#include <bit>
+
 namespace ecs {
 
 void list_assign_directives(const SimView& view,
@@ -52,23 +54,64 @@ void sort_ordered(std::vector<OrderedJob>& order) {
             });
 }
 
-void snapshot_pick_options(const SimView& view,
-                           std::vector<PickOption>& out) {
+void PickSet::snapshot(const SimView& view) {
   const Instance& instance = view.instance();
+  const Platform& platform = view.platform();
   const Time now = view.now();
-  out.clear();
+  view_ = &view;
+  edge_free_.assign(static_cast<std::size_t>(platform.edge_count()), 1);
+  cloud_free_.assign(static_cast<std::size_t>(platform.cloud_count()), 1);
+  edge_head_.assign(edge_free_.size(), -1);
+  fresh_ = pick_fresh_cloud(view, cloud_free_);
+  options_.clear();
+  indexed_ = 0;
+  const std::size_t live = view.live_jobs().size();
+  leaves_ = std::bit_ceil(std::max<std::size_t>(live, 1));
+  // Leaves past the live jobs stay kEmpty; begin() keys the others.
+  tree_.assign(2 * leaves_, kEmpty);
   for (const JobId id : view.live_jobs()) {
-    PickOption& option = out.emplace_back();
+    const auto i = static_cast<std::int32_t>(options_.size());
+    PickOption& option = options_.emplace_back();
+    option.slot = kIdle;
     option.f = view.fields(id);
+    const int alloc = option.f.alloc;
     // Continuing costs the same whether the target is named f.alloc or
     // kTargetKeep: both resolve to the job's own allocation.
-    if (option.f.alloc != kAllocUnassigned) {
-      option.keep =
-          uncontended_completion(instance, option.f, option.f.alloc, now);
+    if (alloc != kAllocUnassigned) {
+      option.keep = uncontended_completion(instance, option.f, alloc, now);
     }
-    if (option.f.alloc != kAllocEdge) {
+    if (alloc != kAllocEdge) {
       option.edge = uncontended_completion(instance, option.f, kAllocEdge, now);
     }
+    std::int32_t& origin_head =
+        edge_head_[static_cast<std::size_t>(option.f.job->origin)];
+    option.next_same_origin = origin_head;
+    origin_head = i;
+  }
+}
+
+int PickSet::resolve(const JobFields& f, PickKind kind) const noexcept {
+  switch (kind) {
+    case PickKind::kEdge:
+      return kAllocEdge;
+    case PickKind::kFresh:
+      return fresh_;
+    case PickKind::kKeep:
+      break;
+  }
+  const bool own_free =
+      f.alloc == kAllocEdge
+          ? edge_free_[static_cast<std::size_t>(f.job->origin)] != 0
+          : cloud_free_[static_cast<std::size_t>(f.alloc)] != 0;
+  return own_free ? f.alloc : kTargetKeep;
+}
+
+void PickSet::replay(std::int32_t i) noexcept {
+  for (std::size_t n = leaf(i) >> 1; n >= 1; n >>= 1) {
+    const Entry winner = better(tree_[2 * n], tree_[2 * n + 1]);
+    // An unchanged match leaves every match above it unchanged too.
+    if (winner.job == tree_[n].job && winner.key == tree_[n].key) break;
+    tree_[n] = winner;
   }
 }
 

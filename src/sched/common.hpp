@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,6 +40,12 @@ void sort_ordered(std::vector<OrderedJob>& order);
 [[nodiscard]] int pick_fresh_cloud(const SimView& view,
                                    const std::vector<char>& cloud_free);
 
+/// What a Greedy/SRPT verdict chose for a job. The target is resolved
+/// only when the job is picked (PickSet::resolve): kKeep becomes the job's
+/// allocation, or kTargetKeep once that resource is claimed, and kFresh
+/// becomes the fastest cloud still free.
+enum class PickKind : std::uint8_t { kKeep, kEdge, kFresh };
+
 /// One live job with its uncontended completion estimates, cached for the
 /// Greedy and SRPT pick loops: each (job, target) estimate is computed once
 /// per decide(), not once per scan of the candidates.
@@ -47,25 +55,197 @@ struct PickOption {
   Time edge = kTimeInfinity;   ///< restart on the origin edge
   Time fresh = kTimeInfinity;  ///< restart on cloud `fresh_cloud`
   int fresh_cloud = -1;        ///< cloud `fresh` holds; -1: not computed
+  // PickSet bookkeeping.
+  double key = 0.0;                   ///< verdict key while indexed
+  std::int32_t next_same_origin = -1; ///< next job of the same origin edge
+  std::uint8_t slot = 0;              ///< PickSet::kIndexed / kIdle / kPicked
+  /// Set by the policy's verdict: the option its fold of the job's options
+  /// ended on (before Greedy's switch-margin hold). Losing any other
+  /// option leaves the verdict's key and kind as they are.
+  PickKind won = PickKind::kKeep;
 };
 
-/// Fills `out` with the live jobs in live-set order, each with its keep
-/// estimate (when allocated) and its edge estimate (when not on the edge).
-/// Fresh-cloud estimates are left to fresh_estimate().
-void snapshot_pick_options(const SimView& view, std::vector<PickOption>& out);
+/// The workspace of one Greedy or SRPT decide(): the live jobs' cached
+/// estimates (in live-set order), the resources no pick has claimed yet,
+/// and an index of the jobs that still have an option, ordered by the
+/// policy's verdict key (larger is better).
+///
+/// A verdict is a pure function of the job and of the free-resource state,
+/// and its key and kind change only when the job loses the option its fold
+/// ended on. So a claim re-evaluates only (DESIGN.md §6): the jobs of a
+/// claimed edge's origin whose verdict the edge won; the jobs whose verdict
+/// the fresh cloud won, when the fastest free cloud is claimed and the next
+/// one is slower or there is none; every job, when clouds have
+/// availability outages. `eval(i)` is the policy's verdict for job i: its
+/// key, or std::nullopt when the job has no option left; it sets
+/// option(i).won.
+class PickSet {
+ public:
+  static constexpr std::uint8_t kIndexed = 0;
+  static constexpr std::uint8_t kIdle = 1;  ///< no option; not indexed
+  static constexpr std::uint8_t kPicked = 2;
 
-/// Uncontended completion of a fresh restart on `cloud`, recomputed only
-/// when `cloud` is not the one cached — i.e. after the fastest free cloud
-/// changed.
-[[nodiscard]] inline Time fresh_estimate(const SimView& view,
-                                         PickOption& option, int cloud) {
-  if (option.fresh_cloud != cloud) {
-    option.fresh =
-        uncontended_completion(view.instance(), option.f, cloud, view.now());
-    option.fresh_cloud = cloud;
+  /// Snapshots the live jobs in one pass — keep estimate (when allocated),
+  /// edge estimate (when not on the edge), the per-edge job lists — frees
+  /// every resource and keys every job through `eval`.
+  template <typename Eval>
+  void begin(const SimView& view, Eval&& eval) {
+    snapshot(view);
+    rekey_where(eval, [](const PickOption&) { return true; });
   }
-  return option.fresh;
-}
+
+  [[nodiscard]] std::int32_t size() const noexcept {
+    return static_cast<std::int32_t>(options_.size());
+  }
+  [[nodiscard]] PickOption& option(std::int32_t i) noexcept {
+    return options_[static_cast<std::size_t>(i)];
+  }
+  [[nodiscard]] bool indexed(std::int32_t i) const noexcept {
+    return options_[static_cast<std::size_t>(i)].slot == kIndexed;
+  }
+  [[nodiscard]] bool edge_free(EdgeId origin) const noexcept {
+    return edge_free_[static_cast<std::size_t>(origin)] != 0;
+  }
+  /// Fastest cloud still free (pick_fresh_cloud); -1 when none is.
+  [[nodiscard]] int fresh() const noexcept { return fresh_; }
+  /// Job i's uncontended completion for a fresh restart on fresh(),
+  /// recomputed only when the cached one is for another cloud.
+  [[nodiscard]] Time fresh_estimate(std::int32_t i) {
+    PickOption& o = option(i);
+    if (o.fresh_cloud != fresh_) {
+      o.fresh = uncontended_completion(view_->instance(), o.f, fresh_,
+                                       view_->now());
+      o.fresh_cloud = fresh_;
+    }
+    return o.fresh;
+  }
+  /// The target a verdict of `kind` names for `f` under the current state.
+  [[nodiscard]] int resolve(const JobFields& f, PickKind kind) const noexcept;
+
+  /// True when no job is indexed.
+  [[nodiscard]] bool empty() const noexcept { return indexed_ == 0; }
+  /// The indexed job with the best key; -1 when only jobs keyed -∞ are.
+  [[nodiscard]] std::int32_t best() const noexcept { return tree_[1].job; }
+  /// The best key among the indexed jobs other than best() (which must be
+  /// a job), -∞ when there is none: the best of the subtrees hanging off
+  /// best()'s path to the root.
+  [[nodiscard]] double runner_up_key() const noexcept {
+    double rival = kNoKey;
+    for (std::size_t n = leaf(best()); n > 1; n >>= 1) {
+      rival = std::max(rival, tree_[n ^ 1].key);
+    }
+    return rival;
+  }
+
+  /// Records the pick of job i onto `target`, drops i from the index and
+  /// re-keys, through `eval`, every job whose verdict the claim can change.
+  template <typename Eval>
+  void claim(std::int32_t i, int target, Eval&& eval) {
+    option(i).slot = kPicked;
+    --indexed_;
+    tree_[leaf(i)] = kEmpty;
+    replay(i);
+    if (target == kAllocEdge) {
+      const EdgeId origin = option(i).f.job->origin;
+      edge_free_[static_cast<std::size_t>(origin)] = 0;
+      for (std::int32_t j = edge_head_[static_cast<std::size_t>(origin)];
+           j >= 0; j = option(j).next_same_origin) {
+        if (option(j).slot == kIndexed && option(j).won == PickKind::kEdge) {
+          evaluate_leaf(j, eval);
+          replay(j);
+        }
+      }
+      return;
+    }
+    if (target == kTargetKeep) return;
+    cloud_free_[static_cast<std::size_t>(target)] = 0;
+    // Claiming any other cloud leaves pick_fresh_cloud's answer as it was.
+    if (target != fresh_) return;
+    const int old_fresh = fresh_;
+    fresh_ = pick_fresh_cloud(*view_, cloud_free_);
+    if (!view_->instance().cloud_outages.empty()) {
+      rekey_where(eval, [](const PickOption& o) { return o.slot != kPicked; });
+      return;
+    }
+    // Without outages a fresh restart costs now + up + work / speed + down
+    // on any cloud but the job's own (uncontended_completion): the same
+    // bits on a cloud of the same speed, no less on a slower one, and never
+    // less than the job's keep on an own cloud at least as fast (remaining
+    // amounts never exceed the job's). So only the verdicts the fresh cloud
+    // won can change, and only when the new one is slower or none.
+    if (fresh_ >= 0 && view_->platform().cloud_speed(fresh_) ==
+                           view_->platform().cloud_speed(old_fresh)) {
+      return;
+    }
+    rekey_where(eval, [](const PickOption& o) {
+      return o.slot == kIndexed && o.won == PickKind::kFresh;
+    });
+  }
+
+ private:
+  struct Entry {
+    double key;
+    std::int32_t job;  ///< -1: no job
+  };
+  static constexpr double kNoKey = -std::numeric_limits<double>::infinity();
+  static constexpr Entry kEmpty{kNoKey, -1};
+
+  /// The entry with the larger key, the left one on equal keys (the pick
+  /// loops never take an index pick that needs the tie broken).
+  [[nodiscard]] static Entry better(const Entry& a, const Entry& b) noexcept {
+    return b.key > a.key ? b : a;
+  }
+  [[nodiscard]] std::size_t leaf(std::int32_t i) const noexcept {
+    return leaves_ + static_cast<std::size_t>(i);
+  }
+
+  void snapshot(const SimView& view);
+  /// Replays the matches on job i's path to the root.
+  void replay(std::int32_t i) noexcept;
+
+  /// Re-evaluates job i into its leaf, without replaying the matches above.
+  template <typename Eval>
+  void evaluate_leaf(std::int32_t i, Eval& eval) {
+    PickOption& o = option(i);
+    const bool was_indexed = o.slot == kIndexed;
+    const std::optional<double> key = eval(i);
+    if (key) {
+      o.key = *key;
+      o.slot = kIndexed;
+      tree_[leaf(i)] = Entry{*key, i};
+    } else {
+      o.slot = kIdle;
+      tree_[leaf(i)] = kEmpty;
+    }
+    indexed_ += static_cast<std::int32_t>(o.slot == kIndexed) -
+                static_cast<std::int32_t>(was_indexed);
+  }
+
+  /// Re-evaluates the jobs `which` selects, then replays every match: one
+  /// O(leaves) pass instead of a path replay per job.
+  template <typename Eval, typename Which>
+  void rekey_where(Eval& eval, Which&& which) {
+    for (std::int32_t i = 0; i < size(); ++i) {
+      if (which(option(i))) evaluate_leaf(i, eval);
+    }
+    for (std::size_t n = leaves_ - 1; n >= 1; --n) {
+      tree_[n] = better(tree_[2 * n], tree_[2 * n + 1]);
+    }
+  }
+
+  const SimView* view_ = nullptr;
+  std::vector<PickOption> options_;
+  /// Winner tree over the jobs: leaf(i) holds job i's entry (kEmpty unless
+  /// indexed), each inner node n the better of 2n and 2n + 1, so tree_[1]
+  /// is the best entry.
+  std::vector<Entry> tree_;
+  std::size_t leaves_ = 1;  ///< a power of two >= the number of jobs
+  std::int32_t indexed_ = 0;  ///< jobs in the index
+  std::vector<char> edge_free_;
+  std::vector<char> cloud_free_;
+  std::vector<std::int32_t> edge_head_;  ///< first job of each origin edge
+  int fresh_ = -1;
+};
 
 /// Exponential doubling followed by bisection for the smallest stretch
 /// accepted by `feasible`, starting from the lower bound `lo`, to relative

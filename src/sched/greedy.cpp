@@ -1,6 +1,9 @@
 #include "sched/greedy.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <optional>
 
 namespace ecs {
 namespace {
@@ -16,120 +19,123 @@ constexpr double kSwitchMargin = 0.10;
 
 void GreedyPolicy::reset(const Instance& instance) {
   (void)instance;
-  candidates_.clear();
-  edge_free_.clear();
-  cloud_free_.clear();
+  verdicts_.clear();
+}
+
+std::optional<double> GreedyPolicy::evaluate(std::int32_t i) {
+  PickSet& set = picks_;
+  PickOption& option = set.option(i);
+  const JobFields& s = option.f;
+  // best_time is the engine's Platform::best_time(job): the same
+  // denominator stretch_of() would recompute.
+  const auto stretch_of_done = [&](Time done) {
+    return (done - s.job->release) / s.best_time;
+  };
+  // The minimum stretch achievable on a still available resource, starting
+  // right now.
+  double min_stretch = std::numeric_limits<double>::infinity();
+  bool found = false;
+  PickKind kind = PickKind::kKeep;
+  double keep_stretch = std::numeric_limits<double>::infinity();
+  const auto consider = [&](PickKind target, Time done) {
+    const double stretch = stretch_of_done(done);
+    if (stretch < min_stretch - kDecisionMargin) {
+      min_stretch = stretch;
+      kind = target;
+      found = true;
+    }
+  };
+  // Continuing on the current allocation (progress intact) is the
+  // baseline; when that resource was claimed by an earlier pick, waiting
+  // for it (kTargetKeep) remains an option.
+  const bool has_keep = s.alloc != kAllocUnassigned;
+  if (has_keep) {
+    keep_stretch = stretch_of_done(option.keep);
+    min_stretch = keep_stretch;
+    found = true;
+  }
+  if (set.edge_free(s.job->origin) && s.alloc != kAllocEdge) {
+    consider(PickKind::kEdge, option.edge);
+  }
+  if (set.fresh() >= 0 && set.fresh() != s.alloc) {
+    consider(PickKind::kFresh, set.fresh_estimate(i));
+  }
+  if (!found) return std::nullopt;  // nothing available for it
+  option.won = kind;
+  // Moving away from the current allocation discards progress; demand a
+  // real improvement, not a near-tie (see kSwitchMargin).
+  bool hold = false;
+  if (has_keep && kind != PickKind::kKeep &&
+      min_stretch > keep_stretch * (1.0 - kSwitchMargin)) {
+    kind = PickKind::kKeep;
+    min_stretch = keep_stretch;
+    hold = true;
+  }
+  verdicts_[static_cast<std::size_t>(i)] = Verdict{kind, hold};
+  return min_stretch;
+}
+
+std::int32_t GreedyPolicy::scan_pick() {
+  // Select the job with the highest achievable min-stretch; on ties, the
+  // job with the smallest best-case time — short jobs are the most
+  // stretch-sensitive, so delaying them is costlier.
+  PickSet& set = picks_;
+  double best_value = -1.0;
+  double best_tiebreak = std::numeric_limits<double>::infinity();
+  std::int32_t best = -1;
+  for (std::int32_t i = 0; i < set.size(); ++i) {
+    if (!set.indexed(i)) continue;
+    const double value = set.option(i).key;
+    const double tiebreak = set.option(i).f.best_time;
+    const bool wins = value > best_value + kDecisionMargin ||
+                      (value > best_value - kDecisionMargin &&
+                       tiebreak < best_tiebreak);
+    if (wins) {
+      best_value = value;
+      best_tiebreak = tiebreak;
+      best = i;
+    }
+  }
+  return best;
 }
 
 void GreedyPolicy::decide(const SimView& view,
                           const std::vector<Event>& events,
                           std::vector<Directive>& out) {
   (void)events;  // Greedy recomputes its choices from scratch at each event.
-  const Platform& platform = view.platform();
+  PickSet& set = picks_;
+  const auto eval = [this](std::int32_t i) { return evaluate(i); };
+  verdicts_.resize(view.live_jobs().size());
+  set.begin(view, eval);
 
-  // Every estimate a scan compares is computed once per decide(): keep and
-  // edge here, fresh-cloud lazily (it changes only when a cloud is claimed).
-  std::vector<PickOption>& candidates = candidates_;
-  snapshot_pick_options(view, candidates);
-  std::vector<char>& edge_free = edge_free_;
-  std::vector<char>& cloud_free = cloud_free_;
-  edge_free.assign(static_cast<std::size_t>(platform.edge_count()), 1);
-  cloud_free.assign(static_cast<std::size_t>(platform.cloud_count()), 1);
-
-  std::vector<Directive>& directives = out;
-  directives.reserve(directives.size() + candidates.size());
+  out.reserve(out.size() + static_cast<std::size_t>(set.size()));
   double priority = 0.0;
-  int fresh = pick_fresh_cloud(view, cloud_free);
-
-  // A linear scan in candidate order, not a heap: the tie rule below
-  // depends on scan order and is not transitive.
-  while (!candidates.empty()) {
-    // For each unselected job: the minimum stretch achievable on a still
-    // available resource, starting right now.
-    double best_value = -1.0;  // max over jobs of min-stretch
-    double best_tiebreak = std::numeric_limits<double>::infinity();
-    std::size_t best_pos = candidates.size();
-    int best_resource = kAllocUnassigned;
-    ReasonCode best_reason = ReasonCode::kGreedyBestStretch;
-
-    for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-      PickOption& option = candidates[pos];
-      const JobFields& s = option.f;
-      // best_time is the engine's Platform::best_time(job): the same
-      // denominator stretch_of() would recompute.
-      const auto stretch_of_done = [&](Time done) {
-        return (done - s.job->release) / s.best_time;
-      };
-      double min_stretch = std::numeric_limits<double>::infinity();
-      int argmin = kAllocUnassigned;
-      double keep_stretch = std::numeric_limits<double>::infinity();
-      const auto consider = [&](int target, Time done) {
-        const double stretch = stretch_of_done(done);
-        if (stretch < min_stretch - kDecisionMargin) {
-          min_stretch = stretch;
-          argmin = target;
-        }
-      };
-      // Continuing on the current allocation (progress intact) is the
-      // baseline; when that resource was claimed by an earlier pick,
-      // waiting for it (kTargetKeep) remains an option.
-      int keep_target = kAllocUnassigned;
-      if (s.alloc != kAllocUnassigned) {
-        const bool own_free =
-            s.alloc == kAllocEdge ? edge_free[s.job->origin] != 0
-                                  : cloud_free[s.alloc] != 0;
-        keep_target = own_free ? s.alloc : kTargetKeep;
-        keep_stretch = stretch_of_done(option.keep);
-        min_stretch = keep_stretch;
-        argmin = keep_target;
-      }
-      if (edge_free[s.job->origin] && s.alloc != kAllocEdge) {
-        consider(kAllocEdge, option.edge);
-      }
-      if (fresh >= 0 && fresh != s.alloc) {
-        consider(fresh, fresh_estimate(view, option, fresh));
-      }
-      if (argmin == kAllocUnassigned) continue;  // nothing available for it
-      // Moving away from the current allocation discards progress; demand
-      // a real improvement, not a near-tie (see kSwitchMargin).
-      ReasonCode reason = ReasonCode::kGreedyBestStretch;
-      if (keep_target != kAllocUnassigned && argmin != keep_target &&
-          min_stretch > keep_stretch * (1.0 - kSwitchMargin)) {
-        argmin = keep_target;
-        min_stretch = keep_stretch;
-        reason = ReasonCode::kGreedySwitchMarginHold;
-      }
-      if (argmin == kTargetKeep) {
-        reason = ReasonCode::kGreedyWaitForOwnResource;
-      }
-      // Select the job with the highest achievable min-stretch; on ties,
-      // the job with the smallest best-case time — short jobs are the most
-      // stretch-sensitive, so delaying them is costlier.
-      const bool wins =
-          min_stretch > best_value + kDecisionMargin ||
-          (min_stretch > best_value - kDecisionMargin &&
-           s.best_time < best_tiebreak);
-      if (wins) {
-        best_value = min_stretch;
-        best_tiebreak = s.best_time;
-        best_pos = pos;
-        best_resource = argmin;
-        best_reason = reason;
-      }
+  // The index's top job is the scan's pick whenever its value beats every
+  // other one by more than the margin: the scan's best_value is -1 or
+  // another job's value when it meets the top job, which then wins, and no
+  // later job comes within the margin. Otherwise the margin rule, which
+  // depends on scan order, decides (DESIGN.md §6).
+  const auto settled = [&set](std::int32_t top) {
+    const double value = set.option(top).key;
+    const double rival = std::max(set.runner_up_key(), -1.0);
+    return value > rival + kDecisionMargin && rival <= value - kDecisionMargin;
+  };
+  while (!set.empty()) {
+    std::int32_t pick = set.best();
+    if (pick < 0 || !settled(pick)) {
+      pick = scan_pick();
+      if (pick < 0) break;  // no job can be placed
     }
-
-    if (best_pos == candidates.size()) break;  // no job can be placed
-    const Job& chosen = *candidates[best_pos].f.job;
-    directives.push_back(
-        Directive{chosen.id, best_resource, priority, best_reason});
+    const Verdict verdict = verdicts_[static_cast<std::size_t>(pick)];
+    const JobFields& chosen = set.option(pick).f;
+    const int target = set.resolve(chosen, verdict.kind);
+    const ReasonCode reason =
+        target == kTargetKeep ? ReasonCode::kGreedyWaitForOwnResource
+        : verdict.hold        ? ReasonCode::kGreedySwitchMarginHold
+                              : ReasonCode::kGreedyBestStretch;
+    out.push_back(Directive{chosen.job->id, target, priority, reason});
     priority += 1.0;
-    if (best_resource == kAllocEdge) {
-      edge_free[chosen.origin] = 0;
-    } else if (best_resource != kTargetKeep) {
-      cloud_free[best_resource] = 0;
-      fresh = pick_fresh_cloud(view, cloud_free);
-    }
-    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best_pos));
+    set.claim(pick, target, eval);
   }
 }
 

@@ -10,6 +10,8 @@
 // wait), so no progress is discarded by merely not being picked.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sched/common.hpp"
@@ -26,10 +28,22 @@ class GreedyPolicy final : public Policy {
               std::vector<Directive>& out) override;
 
  private:
+  /// Which option won a job's min-stretch, and whether the switch margin
+  /// held it on its own allocation; the value is the job's PickSet key.
+  struct Verdict {
+    PickKind kind = PickKind::kKeep;
+    bool hold = false;
+  };
+
+  /// Job i's min-stretch under the current free resources (recording its
+  /// Verdict), or nullopt when no resource is available to it.
+  [[nodiscard]] std::optional<double> evaluate(std::int32_t i);
+  /// The scan's pick among the indexed jobs, in live order; -1 if none.
+  [[nodiscard]] std::int32_t scan_pick();
+
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  std::vector<PickOption> candidates_;
-  std::vector<char> edge_free_;
-  std::vector<char> cloud_free_;
+  PickSet picks_;
+  std::vector<Verdict> verdicts_;
 };
 
 }  // namespace ecs

@@ -10,6 +10,8 @@
 // rule.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sched/common.hpp"
@@ -38,11 +40,29 @@ class SrptPolicy final : public Policy {
               std::vector<Directive>& out) override;
 
  private:
+  /// A job's smallest completion among its options that can win, the
+  /// option kept just before it (kTimeInfinity: none) and what `done` is.
+  struct Verdict {
+    Time done = kTimeInfinity;
+    Time runner_up = kTimeInfinity;
+    PickKind kind = PickKind::kKeep;
+  };
+
+  /// Calls visit(kind, done) for job i's options under the current free
+  /// resources, in the order the scan considers them.
+  template <typename Visit>
+  void for_each_option(std::int32_t i, Visit&& visit);
+  /// Job i's key (minus its smallest completion, recording its Verdict),
+  /// or nullopt when it has no option.
+  [[nodiscard]] std::optional<double> evaluate(std::int32_t i);
+  /// The scan's pick over the indexed jobs' options, in live order (its
+  /// option in `kind`); -1 if none.
+  [[nodiscard]] std::int32_t scan_pick(PickKind& kind);
+
   SrptConfig config_;
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  std::vector<PickOption> candidates_;
-  std::vector<char> edge_free_;
-  std::vector<char> cloud_free_;
+  PickSet picks_;
+  std::vector<Verdict> verdicts_;
 };
 
 }  // namespace ecs

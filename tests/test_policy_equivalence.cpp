@@ -111,7 +111,11 @@ constexpr int kHeteroCloudWorld = kRandomWorlds;
 /// Every job duplicated (equal origin, release and amounts): the pick
 /// loops' kDecisionMargin tie-breaks, which follow scan order.
 constexpr int kNearTieWorld = kRandomWorlds + 1;
-constexpr int kWorldCount = kRandomWorlds + 2;
+/// Three copies of every job, each copy's edge estimate and stretch
+/// 0.3-0.9 kDecisionMargin from the previous copy's: chains of ties that
+/// are not transitive, where the pick loops must fall back to the scan.
+constexpr int kMarginChainWorld = kRandomWorlds + 2;
+constexpr int kWorldCount = kRandomWorlds + 3;
 
 Workload make_special_workload(int world) {
   Workload w;
@@ -132,7 +136,7 @@ Workload make_special_workload(int world) {
     w.instance.platform =
         Platform(w.instance.platform.edge_speeds(),
                  std::vector<double>{0.5, 1.0, 1.0, 2.0});
-  } else {
+  } else if (world == kNearTieWorld) {
     cfg.n = 75;
     cfg.cloud_count = 3;
     Rng rng(1000 + world);
@@ -142,6 +146,28 @@ Workload make_special_workload(int world) {
       for (int copy = 0; copy < 2; ++copy) {
         Job twin = job;
         twin.id = w.instance.job_count();
+        w.instance.jobs.push_back(twin);
+      }
+    }
+  } else {
+    cfg.n = 50;
+    cfg.cloud_count = 3;
+    Rng rng(1000 + world);
+    const Instance base = make_random_instance(cfg, rng);
+    w.instance.platform = base.platform;
+    for (const Job& job : base.jobs) {
+      // Copy c finishes c * step later on its edge and is released
+      // (2 - c) * step * (best_time - 1) later, so from copy to copy the
+      // edge estimate and the edge stretch (done - release) / best_time
+      // both grow by about `step`.
+      const double step = rng.uniform(0.3, 0.9) * kDecisionMargin;
+      const double speed = base.platform.edge_speed(job.origin);
+      const double lead = std::max(base.platform.best_time(job) - 1.0, 0.0);
+      for (int copy = 0; copy < 3; ++copy) {
+        Job twin = job;
+        twin.id = w.instance.job_count();
+        twin.work += copy * step * speed;
+        twin.release += (2 - copy) * step * lead;
         w.instance.jobs.push_back(twin);
       }
     }
@@ -304,6 +330,7 @@ INSTANTIATE_TEST_SUITE_P(
       const int world = std::get<1>(param_info.param);
       if (world == kHeteroCloudWorld) return name + "_hetero_clouds";
       if (world == kNearTieWorld) return name + "_near_ties";
+      if (world == kMarginChainWorld) return name + "_margin_chain";
       return name + "_seed" + std::to_string(world);
     });
 

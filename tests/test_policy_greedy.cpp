@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
 #include "sim/engine.hpp"
@@ -107,6 +109,44 @@ TEST(Greedy, ValidOnBurstyContention) {
   require_valid_schedule(instance, result.schedule);
   const ScheduleMetrics m = compute_metrics(instance, result.schedule);
   EXPECT_GE(m.max_stretch, 1.0);
+}
+
+/// One decide() on a hand-built view: every job of `instance` live and
+/// unassigned at time `now`.
+std::vector<Directive> decide_once(const Instance& instance, Time now) {
+  std::vector<JobState> states;
+  for (const Job& job : instance.jobs) {
+    JobState s;
+    s.job = job;
+    s.best_time = instance.platform.best_time(job);
+    s.rem_work = job.work;
+    s.released = true;
+    states.push_back(s);
+  }
+  const SimView view(instance, states, now);
+  GreedyPolicy policy;
+  policy.reset(instance);
+  std::vector<Directive> out;
+  policy.decide(view, {}, out);
+  return out;
+}
+
+TEST(Greedy, MarginChainFollowsScanOrder) {
+  // One unit-speed edge, no cloud: job i's min-stretch at t = 10 is
+  // 1 + (10 - release) / work, here 2, 2 - 0.6e-6 and 2 - 1.2e-6, with
+  // best_time falling 4, 2, 1. Each job ties with the previous one within
+  // kDecisionMargin and has the smaller best_time, so the scan moves to it
+  // and picks the third job, although the first has the largest value and
+  // the first and third do not tie.
+  Instance instance;
+  instance.platform = Platform({1.0}, 0);
+  instance.jobs = {{0, 0, 4.0, 6.0, 0.0, 0.0},
+                   {1, 0, 2.0, 8.0000012, 0.0, 0.0},
+                   {2, 0, 1.0, 9.0000012, 0.0, 0.0}};
+  const std::vector<Directive> out = decide_once(instance, 10.0);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].job, 2);
+  EXPECT_EQ(out[0].target, kAllocEdge);
 }
 
 }  // namespace

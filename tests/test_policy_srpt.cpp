@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
 #include "sim/engine.hpp"
@@ -113,6 +115,61 @@ TEST(Srpt, ParallelismAcrossEdgeAndClouds) {
   // Pure serialization on the edge would end at 12; parallel execution
   // (edge 4; clouds with staggered uplinks ~5-6.5) is far better.
   EXPECT_LT(m.makespan, 8.0);
+}
+
+/// Every job of `instance` live at time 0 and unassigned.
+std::vector<JobState> released_states(const Instance& instance) {
+  std::vector<JobState> states;
+  for (const Job& job : instance.jobs) {
+    JobState s;
+    s.job = job;
+    s.best_time = instance.platform.best_time(job);
+    s.rem_work = job.work;
+    s.released = true;
+    states.push_back(s);
+  }
+  return states;
+}
+
+/// One decide() on a hand-built view of `states` at time 0.
+std::vector<Directive> decide_once(const Instance& instance,
+                                   const std::vector<JobState>& states) {
+  const SimView view(instance, states, 0.0);
+  SrptPolicy policy;
+  policy.reset(instance);
+  std::vector<Directive> out;
+  policy.decide(view, {}, out);
+  return out;
+}
+
+TEST(Srpt, KeepWinsWithinMarginOfItsOwnRestart) {
+  // The job runs on cloud 0 and would finish at 2 + 0.5e-6; restarting on
+  // its unit-speed edge finishes at 2. The edge is its smallest option,
+  // but only by half the margin: keep, considered first, stays.
+  Instance instance;
+  instance.platform = Platform({1.0}, 1);
+  instance.jobs = {{0, 0, 2.0, 0.0, 1.0, 1.0}};
+  std::vector<JobState> states = released_states(instance);
+  states[0].alloc = 0;
+  states[0].rem_work = 1.5;
+  states[0].rem_down = 0.5000005;
+  const std::vector<Directive> out = decide_once(instance, states);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].target, 0);
+}
+
+TEST(Srpt, NearTieGoesToTheEarlierLiveJob) {
+  // Edge estimates 1 + 0.9e-6 (job 0) and 1 (job 1): job 1 is smaller,
+  // but not by the margin, so the earlier job in live order wins.
+  Instance instance;
+  instance.platform = Platform({1.0}, 0);
+  instance.jobs = {{0, 0, 1.0000009, 0.0, 0.0, 0.0},
+                   {1, 0, 1.0, 0.0, 0.0, 0.0}};
+  const std::vector<Directive> out =
+      decide_once(instance, released_states(instance));
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].job, 0);
+  EXPECT_EQ(out[0].target, kAllocEdge);
 }
 
 }  // namespace
