@@ -145,8 +145,7 @@ void engine_events(benchmark::State& state) {
 BENCHMARK(engine_events)->Arg(200)->Arg(1000)->Arg(4000)
     ->Unit(benchmark::kMillisecond);
 
-void engine_events_sparse_config(benchmark::State& state, bool snapshot_views,
-                                 bool elide) {
+void engine_events_sparse_config(benchmark::State& state, bool elide) {
   const int n = static_cast<int>(state.range(0));
   const ecs::Instance instance = sparse_instance(n);
   std::uint64_t events = 0;
@@ -154,7 +153,6 @@ void engine_events_sparse_config(benchmark::State& state, bool snapshot_views,
     OnReleasePolicy policy(instance.platform.cloud_count());
     ecs::EngineConfig config;
     config.record_schedule = false;
-    config.snapshot_policy_views = snapshot_views;
     config.elide_invariant_rounds = elide;
     const ecs::SimResult result = ecs::simulate(instance, policy, config);
     events = result.stats.events;
@@ -168,24 +166,18 @@ void engine_events_sparse_config(benchmark::State& state, bool snapshot_views,
 }
 
 void engine_events_sparse(benchmark::State& state) {
-  engine_events_sparse_config(state, false, true);
+  engine_events_sparse_config(state, true);
 }
 BENCHMARK(engine_events_sparse)
     ->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Ablations for the DESIGN.md §8 breakdown: each row reverts one hot-path
-// prong via its EngineConfig A/B switch (bit-identical results either way).
-// Deliberately outside the CI gate's name filter — they attribute cost,
-// they don't guard it.
-void engine_events_sparse_snapshot(benchmark::State& state) {
-  engine_events_sparse_config(state, true, true);
-}
-BENCHMARK(engine_events_sparse_snapshot)
-    ->Arg(10000)->Unit(benchmark::kMillisecond);
-
+// Ablation for the DESIGN.md §8 breakdown: the row turns no-op round
+// elision off via its EngineConfig A/B switch (bit-identical results either
+// way). Deliberately outside the CI gate's name filter — it attributes
+// cost, it doesn't guard it.
 void engine_events_sparse_noelide(benchmark::State& state) {
-  engine_events_sparse_config(state, false, false);
+  engine_events_sparse_config(state, false);
 }
 BENCHMARK(engine_events_sparse_noelide)
     ->Arg(10000)->Unit(benchmark::kMillisecond);

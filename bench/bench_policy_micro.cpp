@@ -1,11 +1,12 @@
 // bench_policy_micro.cpp - Microbenchmarks of online-policy arbitration
 // (not a paper figure; tracks the decide() hot path).
 //
-// Two series, each run for both the optimized policies (src/sched/) and
-// the frozen pre-rewrite references (tests/reference_policies.hpp):
+// Three series:
 //
-//  * policy_decide/<policy>[_ref]/<live> — ns per decide() call, driven
-//    directly on a hand-built view whose live set has exactly <live> jobs.
+//  * policy_decide/<policy>[_ref]/<live> — ns per decide() call, for the
+//    optimized policies (src/sched/) and the frozen pre-rewrite references
+//    (tests/reference_policies.hpp), driven directly on a pool-backed view
+//    (tests/pool_view.hpp) whose live set has exactly <live> jobs.
 //    Isolates pure arbitration cost as a function of live-set size: the
 //    workspace reuse (zero steady-state allocation), the O(live) span
 //    iteration and — for SSF-EDF — the warm-started stretch search.
@@ -16,11 +17,10 @@
 //    and the pick loops fall back to the scan: the worst case of the
 //    index.
 //
-//  * policy_sim_sparse/<policy>[_ref]/<n> — ns per decision over a full
+//  * policy_sim_sparse/<policy>/<n> — ns per decision over a full
 //    simulate() of an n-job sparse-arrival instance whose live set stays
-//    bounded (a few jobs) regardless of n. This is the headline O(live)
-//    vs O(n) comparison: the reference scans all n job states on every
-//    decision, the optimized policy touches only the live span.
+//    bounded (a few jobs) regardless of n: any per-decision cost that
+//    scales with n instead of the live set shows up as growth in n.
 //
 // With --json-out=PATH the binary writes one row per benchmark with the
 // per-iteration time and per-decision nanoseconds (CI keeps
@@ -30,12 +30,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bench_micro_common.hpp"
 
+#include "pool_view.hpp"
 #include "reference_policies.hpp"
 #include "sched/factory.hpp"
 #include "sim/engine.hpp"
@@ -74,35 +76,24 @@ struct DirectScenario {
       }
     }
 
-    now = 0.0;
-    for (const ecs::Job& job : instance.jobs) {
-      live.push_back(job.id);
-      now = std::max(now, job.release);
-    }
-    for (const ecs::Job& job : instance.jobs) {
-      ecs::JobState s;
-      s.job = job;
-      s.best_time = instance.platform.best_time(job);
-      s.rem_work = job.work;
-      s.released = true;
-      states.push_back(s);
-    }
+    ecs::Time now = 0.0;
+    for (const ecs::Job& job : instance.jobs) now = std::max(now, job.release);
     events.push_back(
         ecs::Event{ecs::EventKind::kRelease, instance.jobs.back().id, now, -1});
+    round.emplace(instance, now);
   }
+  DirectScenario(const DirectScenario&) = delete;  // the round points into it
+  DirectScenario& operator=(const DirectScenario&) = delete;
 
   ecs::Instance instance;
-  std::vector<ecs::JobState> states;
-  std::vector<ecs::JobId> live;
   std::vector<ecs::Event> events;
-  ecs::Time now = 0.0;
+  std::optional<ecs::PoolView> round;  ///< built last: it points at `instance`
 };
 
 void policy_decide(benchmark::State& state, const char* policy_name,
                    bool use_ref, int copies = 1) {
   const DirectScenario scenario(static_cast<int>(state.range(0)), copies);
-  const ecs::SimView view(scenario.instance, scenario.states, scenario.now,
-                          &scenario.live);
+  const ecs::SimView view = scenario.round->view();
   const auto policy = make_any_policy(policy_name, use_ref);
   policy->reset(scenario.instance);
 
@@ -138,13 +129,12 @@ ecs::Instance sparse_instance(int n) {
   return instance;
 }
 
-void policy_sim_sparse(benchmark::State& state, const char* policy_name,
-                       bool use_ref) {
+void policy_sim_sparse(benchmark::State& state, const char* policy_name) {
   const int n = static_cast<int>(state.range(0));
   const ecs::Instance instance = sparse_instance(n);
   std::uint64_t decisions = 0;
   for (auto _ : state) {
-    const auto policy = make_any_policy(policy_name, use_ref);
+    const auto policy = ecs::make_policy(policy_name);
     ecs::EngineConfig config;
     config.record_schedule = false;
     const ecs::SimResult result = ecs::simulate(instance, *policy, config);
@@ -178,17 +168,13 @@ BENCHMARK_CAPTURE(policy_decide, greedy_ties, "greedy", false, 2)
 BENCHMARK_CAPTURE(policy_decide, srpt_ties, "srpt", false, 2)
     ->Arg(64)->Arg(256);
 
-// The headline O(live) vs O(n) series: SSF-EDF over a growing instance
-// with a bounded live set. The reference re-scans all n states (and cold
-// restarts its stretch search) on every decision, so its per-decision
-// cost grows linearly in n; the optimized policy's stays flat.
-BENCHMARK_CAPTURE(policy_sim_sparse, ssf_edf, "ssf-edf", false)
+// SSF-EDF over a growing instance with a bounded live set: its
+// per-decision cost must stay flat from n = 1000 to n = 10000.
+BENCHMARK_CAPTURE(policy_sim_sparse, ssf_edf, "ssf-edf")
     ->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(policy_sim_sparse, ssf_edf_ref, "ssf-edf", true)
-    ->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(policy_sim_sparse, srpt, "srpt", false)
+BENCHMARK_CAPTURE(policy_sim_sparse, srpt, "srpt")
     ->Arg(10000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(policy_sim_sparse, fcfs, "fcfs", false)
+BENCHMARK_CAPTURE(policy_sim_sparse, fcfs, "fcfs")
     ->Arg(10000)->Unit(benchmark::kMillisecond);
 
 }  // namespace

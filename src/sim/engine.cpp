@@ -106,7 +106,6 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
   require_valid_fault_plan(config_.faults, *platform_);
   admission_on_ = config_.admission.enabled();
   record_schedule_ = config_.record_schedule;
-  snapshot_views_ = config_.snapshot_policy_views;
   elide_ = config_.elide_invariant_rounds ? policy.elision() : ElisionContract{};
   // Faults and recoveries rewrite allocations behind the policy's back, so
   // no contract may claim invariance across them: force them as triggers.
@@ -139,7 +138,6 @@ void EngineCore::init() {
   active_ids_.clear();
   live_sorted_.clear();
   victims_.clear();
-  dirty_slots_.clear();
   order_.clear();
   directives_.clear();
   boundaries_.clear();
@@ -189,10 +187,6 @@ void EngineCore::init() {
     pool_.job(i) = instance_->jobs[i];
     pool_.best_time(i) = platform_->best_time(pool_.job(i));
   }
-  // The AoS snapshot is only maintained when a run asks for snapshot views;
-  // the default field view reads the component arrays directly and
-  // materializes snapshot entries lazily on the legacy accessors.
-  if (snapshot_views_) pool_.publish_all();
   // Outage boundaries (cloud availability windows): every begin and end
   // is a wake-up point where the engine re-arbitrates, so an in-flight
   // activity on a cloud that becomes unavailable is preempted exactly at
@@ -511,14 +505,7 @@ void EngineCore::shed(JobId id, ReasonCode reason) {
   if (config_.record_admission) {
     admission_log_.push_back(AdmissionRecord{id, now_, reason, true});
   }
-  if (streaming_) {
-    retire_slot(slot);
-  } else if (snapshot_views_) {
-    // The slot left the live set with new state (released = false); the
-    // policy snapshot must show that on the next round. The field view
-    // reads through and needs no note.
-    dirty_slots_.push_back(slot);
-  }
+  if (streaming_) retire_slot(slot);
 }
 
 /// Recycles a slot (streaming only): harvests its run record and
@@ -638,24 +625,6 @@ void EngineCore::step() {
   advance_to_next_event();
 }
 
-/// Refreshes the policy-facing AoS snapshot for every slot whose state may
-/// have changed since the last decision round: the live set (all progress,
-/// allocation and activation changes happen to live jobs), the slots of
-/// this batch's events (a just-completed job has left the live set but its
-/// completion event still references it), and slots dirtied out-of-band
-/// (sheds). Any other slot is untouched since its last publish, so the
-/// snapshot is exact everywhere a policy can look.
-void EngineCore::publish_policy_view() {
-  for (const soa::LiveIndex::Entry& e : live_) pool_.publish(e.slot);
-  for (const Event& ev : events_) {
-    if (ev.job < 0) continue;
-    const std::int32_t slot = find_slot(ev.job);
-    if (slot >= 0) pool_.publish(slot);
-  }
-  for (const std::int32_t slot : dirty_slots_) pool_.publish(slot);
-  dirty_slots_.clear();
-}
-
 void EngineCore::decide_and_activate() {
   // 1. Ask the policy what to do about the events that just fired. The
   //    sorted live index gives SimView::live_jobs() in O(live) and, below,
@@ -701,14 +670,8 @@ void EngineCore::decide_and_activate() {
     }
     ++elided_rounds_;
   } else {
-    // Snapshot mode refreshes the AoS mirror before the view is built; the
-    // default field view reads the component arrays directly.
-    if (snapshot_views_) publish_policy_view();
-    const soa::IdMap* ids = streaming_ ? &id_map_ : nullptr;
-    const SimView view =
-        snapshot_views_ ? SimView(*instance_, pool_.policy_view(), now_,
-                                  &live_sorted_, ids)
-                        : SimView(*instance_, pool_, now_, &live_sorted_, ids);
+    const SimView view(*instance_, pool_, now_, live_sorted_,
+                       streaming_ ? &id_map_ : nullptr);
     // Two steady-clock reads per round are measurable at batch scale, so
     // the policy timer sits behind a switch (EngineConfig::time_policy,
     // off by default; the profiler's kDecide phase times the same span).

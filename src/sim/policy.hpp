@@ -23,7 +23,6 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,42 +49,25 @@ struct Directive {
 
 /// Read-only view of the simulation passed to policies.
 ///
-/// Two backing modes, bit-identical to read from:
-///
-///  * field-view (the engine's default): the view holds the engine's SoA
-///    StatePool directly. fields(id) gathers the policy-facing fields
-///    straight from the dense component arrays — the hot path — while
-///    state(id)/states() keep working by materializing AoS snapshot
-///    entries lazily (first access per round publishes the slot).
-///  * snapshot: the view holds a `vector<JobState>` — hand-built test
-///    views and the engine's EngineConfig::snapshot_policy_views A/B mode.
+/// The view holds the engine's SoA StatePool: fields(id) gathers the
+/// policy-facing fields of a job straight from the dense component arrays,
+/// and live_jobs() is the engine's sorted live list.
 ///
 /// In the engine's streaming mode (simulate_stream) completed jobs retire
-/// and their state slots are recycled, so a job id is no longer an index
-/// into states(). slot(id) performs the translation; it is the identity
-/// when the view was built without a slot window (materialized runs and
-/// hand-made test views), so policies written against slot() behave
-/// identically in both modes. Per-job policy workspaces must be keyed by
-/// slot(id), never by id, to stay O(live) under streaming.
+/// and their state slots are recycled, so a job id is no longer a slot
+/// index. slot(id) performs the translation; it is the identity when the
+/// view was built without an id map (materialized runs and hand-made test
+/// views), so policies written against slot() behave identically in both
+/// modes. Per-job policy workspaces must be keyed by slot(id), never by id,
+/// to stay O(live) under streaming.
 class SimView {
  public:
-  /// `live_sorted`, when provided (the engine always does), is the list of
-  /// released, unfinished job ids sorted ascending — it lets live_jobs()
-  /// answer in O(live) instead of scanning every job state.
-  /// `id_map` (streaming engine only) translates a job id to its state
-  /// slot; ids absent from the map are retired/rejected and have no state.
-  SimView(const Instance& instance, const std::vector<JobState>& states,
-          Time now, const std::vector<JobId>* live_sorted = nullptr,
-          const soa::IdMap* id_map = nullptr)
-      : instance_(&instance),
-        states_(&states),
-        live_sorted_(live_sorted),
-        id_map_(id_map),
-        now_(now) {}
-
-  /// Field-view mode: reads resolve against the SoA component pool.
+  /// `live_sorted` is the list of released, unfinished job ids sorted
+  /// ascending; the view aliases it. `id_map` (streaming engine only)
+  /// translates a job id to its state slot; ids absent from the map are
+  /// retired/rejected and have no state.
   SimView(const Instance& instance, const soa::StatePool& pool, Time now,
-          const std::vector<JobId>* live_sorted = nullptr,
+          std::span<const JobId> live_sorted,
           const soa::IdMap* id_map = nullptr)
       : instance_(&instance),
         pool_(&pool),
@@ -101,45 +83,22 @@ class SimView {
   }
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Full AoS state array. In field-view mode this materializes every
-  /// slot's snapshot entry first — an O(n) escape hatch kept for tools and
-  /// legacy callers; policies should use fields()/state()/state_count().
-  [[nodiscard]] const std::vector<JobState>& states() const noexcept {
-    if (pool_ != nullptr) {
-      pool_->materialize_all();
-      return pool_->policy_view();
-    }
-    return *states_;
-  }
-
-  /// Number of state slots, without materializing anything.
+  /// Number of state slots; every non-negative slot(id) is below it.
   [[nodiscard]] std::size_t state_count() const noexcept {
-    return pool_ != nullptr ? pool_->size() : states_->size();
+    return pool_->size();
   }
 
-  /// Index of `id`'s state in states(). Identity without an id map;
-  /// negative when the job is retired, rejected or unknown (streaming).
-  /// Always >= 0 for live ids and for the jobs of the current event batch.
+  /// State slot of `id`. Identity without an id map; negative when the job
+  /// is retired, rejected or unknown (streaming). Always >= 0 for live ids
+  /// and for the jobs of the current event batch.
   [[nodiscard]] std::int32_t slot(JobId id) const noexcept {
     if (id_map_ == nullptr) return static_cast<std::int32_t>(id);
     return id_map_->find(id);
   }
 
-  [[nodiscard]] const JobState& state(JobId id) const {
-    const std::int32_t s = slot(id);
-    if (pool_ != nullptr) {
-      if (s < 0 || static_cast<std::size_t>(s) >= pool_->size()) {
-        throw std::out_of_range("SimView::state: job has no state slot");
-      }
-      return pool_->materialize(s);
-    }
-    return states_->at(static_cast<std::size_t>(s));
-  }
-
-  /// The policy-facing fields of `id`, gathered by value — the hot read
-  /// path: in field-view mode this touches only the needed SoA arrays and
-  /// never writes a snapshot entry. `id` must be live or belong to the
-  /// current event batch (the slot() >= 0 contract above).
+  /// The policy-facing fields of `id`, gathered by value from the SoA
+  /// arrays. `id` must be live or belong to the current event batch (the
+  /// slot() >= 0 contract above).
   [[nodiscard]] JobFields fields(JobId id) const {
     return fields_at_slot(slot(id));
   }
@@ -147,45 +106,22 @@ class SimView {
   /// fields() for a job whose state slot the caller already holds
   /// (slot(id) >= 0), without resolving the id again.
   [[nodiscard]] JobFields fields_at_slot(std::int32_t s) const {
-    if (pool_ != nullptr) {
-      assert(s >= 0 && static_cast<std::size_t>(s) < pool_->size());
-      return pool_->fields(s);
-    }
-    return fields_of(states_->at(static_cast<std::size_t>(s)));
+    assert(s >= 0 && static_cast<std::size_t>(s) < pool_->size());
+    return pool_->fields(s);
   }
 
   /// Ids of released, unfinished jobs, ascending. Non-owning: the span
   /// aliases the engine's sorted live index (no copy — this sits on every
-  /// policy's hot path) and is valid only while the view is. When the view
-  /// was built without a live index (hand-made views in tests), the list is
-  /// derived once from the states and cached in the view.
-  [[nodiscard]] std::span<const JobId> live_jobs() const {
-    if (live_sorted_ != nullptr) return *live_sorted_;
-    if (!fallback_built_) {
-      fallback_live_.clear();
-      if (pool_ != nullptr) {
-        const auto n = static_cast<std::int32_t>(pool_->size());
-        for (std::int32_t s = 0; s < n; ++s) {
-          if (pool_->live(s)) fallback_live_.push_back(pool_->job(s).id);
-        }
-      } else {
-        for (const JobState& s : *states_) {
-          if (s.live()) fallback_live_.push_back(s.job.id);
-        }
-      }
-      fallback_built_ = true;
-    }
-    return fallback_live_;
+  /// policy's hot path) and is valid only while the view is.
+  [[nodiscard]] std::span<const JobId> live_jobs() const noexcept {
+    return live_sorted_;
   }
 
  private:
   const Instance* instance_;
-  const std::vector<JobState>* states_ = nullptr;  ///< snapshot mode
-  const soa::StatePool* pool_ = nullptr;           ///< field-view mode
-  const std::vector<JobId>* live_sorted_ = nullptr;
+  const soa::StatePool* pool_;
+  std::span<const JobId> live_sorted_;
   const soa::IdMap* id_map_ = nullptr;  ///< streaming id -> slot map
-  mutable std::vector<JobId> fallback_live_;  ///< lazy; null live_sorted_ only
-  mutable bool fallback_built_ = false;
   Time now_;
 };
 

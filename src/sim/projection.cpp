@@ -29,10 +29,6 @@ RemainingAmounts remaining_on(const JobFields& f, int target) {
   return rem;
 }
 
-RemainingAmounts remaining_on(const JobState& state, int target) {
-  return remaining_on(fields_of(state), target);
-}
-
 Time advance_through_outages(const IntervalSet* outages, Time start,
                              double duration) {
   // A zero-length leg does not need the resource at all: it must not be
@@ -77,11 +73,6 @@ Time uncontended_completion(const Platform& platform, const JobFields& f,
   return now + rem.up + rem.work / platform.cloud_speed(target) + rem.down;
 }
 
-Time uncontended_completion(const Platform& platform, const JobState& state,
-                            int target, Time now) {
-  return uncontended_completion(platform, fields_of(state), target, now);
-}
-
 Time uncontended_completion(const Instance& instance, const JobFields& f,
                             int target, Time now) {
   if (target == kAllocEdge || instance.cloud_outages.empty()) {
@@ -96,11 +87,6 @@ Time uncontended_completion(const Instance& instance, const JobFields& f,
       outages, cursor, rem.work / instance.platform.cloud_speed(target));
   cursor = advance_through_outages(outages, cursor, rem.down);
   return cursor;
-}
-
-Time uncontended_completion(const Instance& instance, const JobState& state,
-                            int target, Time now) {
-  return uncontended_completion(instance, fields_of(state), target, now);
 }
 
 CloudId fastest_cloud(const Platform& platform) {
@@ -129,11 +115,6 @@ Time best_uncontended_completion(const Platform& platform, const JobFields& f,
     }
   }
   return best;
-}
-
-Time best_uncontended_completion(const Platform& platform,
-                                 const JobState& state, Time now) {
-  return best_uncontended_completion(platform, fields_of(state), now);
 }
 
 ResourceClock::ResourceClock(const Platform& platform, Time now) {
@@ -213,11 +194,6 @@ Time ResourceClock::project(const Platform& platform, const JobFields& f,
   return project_detail(platform, f, target).done;
 }
 
-Time ResourceClock::project(const Platform& platform, const JobState& state,
-                            int target) const {
-  return project(platform, fields_of(state), target);
-}
-
 Time ResourceClock::commit(const Platform& platform, const JobFields& f,
                            int target) {
   const Projection p = project_detail(platform, f, target);
@@ -238,11 +214,6 @@ Time ResourceClock::commit(const Platform& platform, const JobFields& f,
     edge_recv_[o] = p.done;
   }
   return p.done;
-}
-
-Time ResourceClock::commit(const Platform& platform, const JobState& state,
-                           int target) {
-  return commit(platform, fields_of(state), target);
 }
 
 bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
@@ -266,11 +237,6 @@ bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
     return time_le(cloud_cpu_[kc], now);
   }
   return time_le(cloud_send_[kc], now) && time_le(edge_recv_[o], now);
-}
-
-bool ResourceClock::starts_now(const Platform& platform, const JobState& state,
-                               int target, Time now) const {
-  return starts_now(platform, fields_of(state), target, now);
 }
 
 void ResourceClock::fill_fresh(const std::vector<double>& speeds,

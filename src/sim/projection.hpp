@@ -35,13 +35,8 @@ namespace ecs {
 
 /// Earliest finish time of the job on `target`, starting at `now`,
 /// assuming no contention. `target` is kAllocEdge or a cloud index.
-/// The JobFields overload is primary (the field-view hot path); the
-/// JobState form wraps it via fields_of(), so both are bit-identical.
 [[nodiscard]] Time uncontended_completion(const Platform& platform,
                                           const JobFields& f, int target,
-                                          Time now);
-[[nodiscard]] Time uncontended_completion(const Platform& platform,
-                                          const JobState& state, int target,
                                           Time now);
 
 /// Outage-aware overload: accounts for the announced availability windows
@@ -49,17 +44,11 @@ namespace ecs {
 [[nodiscard]] Time uncontended_completion(const Instance& instance,
                                           const JobFields& f, int target,
                                           Time now);
-[[nodiscard]] Time uncontended_completion(const Instance& instance,
-                                          const JobState& state, int target,
-                                          Time now);
 
 /// Best uncontended finish time over all resources (origin edge, the
 /// fastest cloud processor, or the job's current allocation).
 [[nodiscard]] Time best_uncontended_completion(const Platform& platform,
                                                const JobFields& f, Time now);
-[[nodiscard]] Time best_uncontended_completion(const Platform& platform,
-                                               const JobState& state,
-                                               Time now);
 
 /// Index of the fastest cloud processor, or -1 when the platform has none.
 [[nodiscard]] CloudId fastest_cloud(const Platform& platform);
@@ -101,17 +90,13 @@ class ResourceClock {
   [[nodiscard]] bool bound() const noexcept { return bound_; }
 
   /// Completion time of the job on `target` given current clocks; does not
-  /// modify the clocks. JobFields overloads are primary; the JobState
-  /// forms wrap them via fields_of() (bit-identical paths).
+  /// modify the clocks.
   [[nodiscard]] Time project(const Platform& platform, const JobFields& f,
-                             int target) const;
-  [[nodiscard]] Time project(const Platform& platform, const JobState& state,
                              int target) const;
 
   /// Commits the job to `target`: advances the involved clocks and returns
   /// the completion time.
   Time commit(const Platform& platform, const JobFields& f, int target);
-  Time commit(const Platform& platform, const JobState& state, int target);
 
   /// Target (kAllocEdge or cloud id) minimizing the projected completion,
   /// together with that completion time. Sticky: the job's current
@@ -143,9 +128,6 @@ class ResourceClock {
   /// start, leaving queued jobs' progress untouched.
   [[nodiscard]] bool starts_now(const Platform& platform, const JobFields& f,
                                 int target, Time now) const;
-  [[nodiscard]] bool starts_now(const Platform& platform,
-                                const JobState& state, int target,
-                                Time now) const;
 
  private:
   struct Projection {
@@ -196,6 +178,5 @@ struct RemainingAmounts {
   double down = 0.0;
 };
 [[nodiscard]] RemainingAmounts remaining_on(const JobFields& f, int target);
-[[nodiscard]] RemainingAmounts remaining_on(const JobState& state, int target);
 
 }  // namespace ecs

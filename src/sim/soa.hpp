@@ -1,19 +1,14 @@
 // soa.hpp - Data-oriented state pools for the simulation engine.
 //
 // The engine's per-job dynamic state lives here as structure-of-arrays
-// component pools (one parallel array per field) instead of the historical
-// vector<JobState> AoS layout. Three components:
+// component pools (one parallel array per field). Three components:
 //
 //  * StatePool   - the per-slot job state: the hot progress fields
 //                  (rem_up / rem_work / rem_down / rate / last_update) and
 //                  the warm allocation / lifecycle fields, each in its own
-//                  dense array indexed by state slot. The pool also owns the
-//                  policy-facing AoS snapshot (`policy_view()`): SimView and
-//                  the policies keep reading `const JobState&`, and the
-//                  engine publish()es the slots whose state changed before
-//                  every decision round — so the read API of the policy
-//                  layer is unchanged while the engine hot path walks dense
-//                  arrays.
+//                  dense array indexed by state slot. It is the only copy
+//                  of per-job state: policies read it through SimView,
+//                  which gathers a JobFields per job from the arrays.
 //  * LiveIndex   - sparse-set index of the live (released, unfinished)
 //                  jobs: a dense array of (id, slot) pairs with O(1)
 //                  swap-erase plus a slot -> dense-position table. Erasure
@@ -30,9 +25,10 @@
 // the insert/erase sequence, and IdMap is only ever probed point-wise.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/job.hpp"
@@ -43,9 +39,6 @@
 namespace ecs::soa {
 
 /// SoA component pool of per-job engine state, one slot per tracked job.
-/// Slot contents mirror JobState field for field; the composite helpers
-/// (next_activity, advance_progress, ...) use the exact expressions of the
-/// JobState originals so the SoA engine is bit-identical to the AoS one.
 class StatePool {
  public:
   /// Resizes to `n` slots, every one reset to the default state. Keeps the
@@ -65,11 +58,6 @@ class StatePool {
     done_.assign(n, 0);
     completion_.assign(n, -1.0);
     reassignments_.assign(n, 0);
-    // The AoS snapshot is a cache: every entry is fully overwritten by
-    // publish() before anyone reads it (lazily in field-view mode, eagerly
-    // in snapshot mode), so resize — not assign — is enough and skips an
-    // O(n · sizeof(JobState)) clear per run.
-    view_.resize(n);
   }
 
   /// Appends one default slot (streaming growth); returns its index.
@@ -89,7 +77,6 @@ class StatePool {
     done_.push_back(0);
     completion_.push_back(-1.0);
     reassignments_.push_back(0);
-    view_.emplace_back();
     return slot;
   }
 
@@ -178,8 +165,8 @@ class StatePool {
     return released_[s] != 0 && done_[s] == 0;
   }
 
-  /// The next activity slot `s` needs on its current allocation; identical
-  /// logic to JobState::next_activity.
+  /// The next activity slot `s` needs on its current allocation, given its
+  /// remaining amounts; kNone when everything is finished (or unassigned).
   [[nodiscard]] Activity next_activity(std::int32_t s) const noexcept {
     if (alloc_[s] == kAllocUnassigned || done_[s] != 0) {
       return Activity::kNone;
@@ -199,32 +186,13 @@ class StatePool {
            amount_done(rem_down_[s]);
   }
 
-  /// Materializes the active activity's progress up to `to`; identical
-  /// arithmetic to JobState::advance_progress (same ops, same order).
-  void advance_progress(std::int32_t s, Time to) noexcept {
-    const double dt = std::max(0.0, to - last_update_[s]);
-    switch (active_[s]) {
-      case Activity::kUplink:
-        rem_up_[s] = clamp_amount(rem_up_[s] - dt * rate_[s]);
-        break;
-      case Activity::kCompute:
-        rem_work_[s] = clamp_amount(rem_work_[s] - dt * rate_[s]);
-        break;
-      case Activity::kDownlink:
-        rem_down_[s] = clamp_amount(rem_down_[s] - dt * rate_[s]);
-        break;
-      case Activity::kNone:
-        return;  // idle: nothing progresses, the anchor stays put
-    }
-    last_update_[s] = to;
-  }
-
-  /// Batch form of advance_progress over a set of slots: one contiguous
-  /// pass with the component-array bases hoisted out of the loop, so the
-  /// compiler keeps them in registers and the body stays branch-lean
-  /// (one switch on the activity kind, no function-call or bounds-check
-  /// traffic). The per-slot arithmetic is the same expressions in the same
-  /// order as advance_progress, so the results are bit-identical.
+  /// Brings the progress of each listed slot up to `to`: subtracts
+  /// rate * elapsed from the remaining amount of its current activity and
+  /// moves the accounting anchor (idle slots are left alone). One
+  /// contiguous pass with the component-array bases hoisted out of the
+  /// loop, so the compiler keeps them in registers and the body stays
+  /// branch-lean (one switch on the activity kind, no function-call or
+  /// bounds-check traffic).
   void advance_active(const std::int32_t* slots, std::size_t count,
                       Time to) noexcept {
     const Activity* ak = active_.data();
@@ -253,78 +221,37 @@ class StatePool {
     }
   }
 
-  /// Gathers the policy-facing fields of slot `s` straight from the
-  /// component arrays — the field-view fast path; no AoS entry is written.
+  /// Gathers the policy-facing fields of slot `s` from the component
+  /// arrays.
   [[nodiscard]] JobFields fields(std::int32_t s) const noexcept {
     return JobFields{&job_[s],   best_time_[s], alloc_[s],
                      rem_up_[s], rem_work_[s],  rem_down_[s]};
   }
 
-  // --- policy-facing AoS snapshot (the SimView facade) ---
-
-  /// The AoS mirror handed to SimView. Entry `s` is authoritative as of the
-  /// last publish(s). In snapshot mode the engine publishes every slot
-  /// whose state may have changed before each policy call; in field-view
-  /// mode (the default) entries are materialize()d lazily on first access.
-  [[nodiscard]] const std::vector<JobState>& policy_view() const noexcept {
-    return view_;
-  }
-
-  /// Publishes slot `s` and returns its snapshot entry. Const because the
-  /// authoritative component arrays are untouched — the AoS snapshot is a
-  /// mutable cache. Backs SimView::state() in field-view mode.
-  [[nodiscard]] const JobState& materialize(std::int32_t s) const {
-    publish(s);
-    return view_[s];
-  }
-
-  /// Publishes every slot; backs SimView::states() in field-view mode (an
-  /// O(n) escape hatch — hot policies should read fields()/state()).
-  void materialize_all() const { publish_all(); }
-
-  /// Copies slot `s`'s components into the AoS snapshot entry.
-  void publish(std::int32_t s) const {
-    JobState& d = view_[s];
-    d.job = job_[s];
-    d.best_time = best_time_[s];
-    d.alloc = alloc_[s];
-    d.rem_up = rem_up_[s];
-    d.rem_work = rem_work_[s];
-    d.rem_down = rem_down_[s];
-    d.active = active_[s];
-    d.rate = rate_[s];
-    d.last_update = last_update_[s];
-    d.was_active = was_active_[s] != 0;
-    d.released = released_[s] != 0;
-    d.done = done_[s] != 0;
-    d.completion = completion_[s];
-    d.reassignments = reassignments_[s];
-  }
-
-  void publish_all() const {
-    for (std::int32_t s = 0; s < static_cast<std::int32_t>(size()); ++s) {
-      publish(s);
-    }
-  }
-
  private:
+  // The fields a policy reads (see JobFields).
   std::vector<Job> job_;
   std::vector<double> best_time_;
   std::vector<int> alloc_;
   std::vector<double> rem_up_;
   std::vector<double> rem_work_;
   std::vector<double> rem_down_;
+  /// What the job is doing right now.
   std::vector<Activity> active_;
+  /// Lazy progress accounting: while a slot is active its activity
+  /// consumes the remaining amount at `rate` units per unit of simulated
+  /// time, and the rem_* fields are authoritative only as of
+  /// `last_update`. advance_active() brings them up to date; per event
+  /// the engine does so for the active slots only.
   std::vector<double> rate_;
   std::vector<Time> last_update_;
+  /// The slot was mid-activity when the current decision round began;
+  /// arbitration reads it to detect preemptions in O(1).
   std::vector<std::uint8_t> was_active_;
   std::vector<std::uint8_t> released_;
   std::vector<std::uint8_t> done_;
   std::vector<Time> completion_;
   std::vector<int> reassignments_;
-  /// Published AoS snapshot for SimView. Mutable: it is a read-side cache
-  /// of the component arrays, (re)filled from const contexts.
-  mutable std::vector<JobState> view_;
 };
 
 /// Sparse-set index of the live jobs. The dense array carries (id, slot)

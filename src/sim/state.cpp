@@ -1,26 +1,6 @@
 #include "sim/state.hpp"
 
-#include <algorithm>
-
 namespace ecs {
-
-void JobState::advance_progress(Time to) noexcept {
-  const double dt = std::max(0.0, to - last_update);
-  switch (active) {
-    case Activity::kUplink:
-      rem_up = clamp_amount(rem_up - dt * rate);
-      break;
-    case Activity::kCompute:
-      rem_work = clamp_amount(rem_work - dt * rate);
-      break;
-    case Activity::kDownlink:
-      rem_down = clamp_amount(rem_down - dt * rate);
-      break;
-    case Activity::kNone:
-      return;  // idle: nothing progresses, the anchor stays put
-  }
-  last_update = to;
-}
 
 std::string to_string(Activity activity) {
   switch (activity) {

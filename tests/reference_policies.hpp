@@ -1,18 +1,21 @@
 // reference_policies.hpp - Frozen pre-optimization policy implementations.
 //
-// Verbatim ports of the online policies as they stood BEFORE the O(live)
-// arbitration rewrite (full view.states() scans, fresh heap buffers every
-// decide(), std::function-driven cold stretch search, a freshly
+// Ports of the online policies as they stood BEFORE the O(live)
+// arbitration rewrite (fresh heap buffers every decide(), repeated
+// per-job field reads, std::function-driven cold stretch search, a freshly
 // constructed ResourceClock per probe). They are deliberately NOT kept in
 // sync with src/sched/: their whole value is staying frozen so
 // test_policy_equivalence.cpp can assert the optimized policies produce
 // bit-identical schedules, and bench_policy_micro can quantify the
 // speedup against the original cost model.
 //
-// Only the Policy entry point was adapted (the optimized interface passes
-// an output buffer); each reference decide() still builds a fresh local
-// vector exactly like the original and copies it out, preserving the old
-// allocation behavior.
+// Two adaptations only. The Policy entry point passes an output buffer;
+// each reference decide() still builds a fresh local vector exactly like
+// the original and copies it out, preserving the old allocation behavior.
+// And the original scans over every job state, skipping the jobs that are
+// not live, now walk view.live_jobs() and read view.fields(id): live ids
+// ascend, which is the slot order the scans walked, so every decision is
+// unchanged.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,15 +40,10 @@
 namespace ecs {
 namespace ref {
 
-/// Pre-rewrite live_jobs(): the O(n) full-state scan every policy ran,
-/// returning a fresh vector (ids ascending, matching the engine's sorted
-/// live set).
-inline std::vector<JobId> live_jobs_scan(const SimView& view) {
-  std::vector<JobId> out;
-  for (const JobState& s : view.states()) {
-    if (s.live()) out.push_back(s.job.id);
-  }
-  return out;
+/// Pre-rewrite live_jobs(): a fresh vector of the live ids, ascending.
+inline std::vector<JobId> live_jobs_copy(const SimView& view) {
+  const std::span<const JobId> live = view.live_jobs();
+  return std::vector<JobId>(live.begin(), live.end());
 }
 
 /// Pre-rewrite doubling + bisection, std::function-driven and always cold
@@ -78,7 +77,7 @@ inline double min_feasible_stretch(
 /// kDecisionMargin). The library's fused scan must return the same pair.
 inline std::pair<int, Time> best_target_per_target(const Platform& platform,
                                                    const ResourceClock& clock,
-                                                   const JobState& state) {
+                                                   const JobFields& state) {
   int best_target = kAllocEdge;
   Time best = kTimeInfinity;
   const auto consider = [&](int target) {
@@ -114,7 +113,7 @@ inline std::vector<Directive> list_assign_directives(
   directives.reserve(order.size());
   double priority = 0.0;
   for (const OrderedJob& entry : order) {
-    const JobState& s = view.state(entry.id);
+    const JobFields s = view.fields(entry.id);
     const auto [target, done] = best_target_per_target(platform, clock, s);
     (void)done;
     const bool immediate = clock.starts_now(platform, s, target, now);
@@ -134,9 +133,9 @@ class FcfsPolicy final : public Policy {
               std::vector<Directive>& out) override {
     (void)events;
     std::vector<OrderedJob> order;
-    for (const JobState& s : view.states()) {
-      if (!s.live()) continue;
-      order.push_back(OrderedJob{s.job.id, s.job.release});
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
+      order.push_back(OrderedJob{s.job->id, s.job->release});
     }
     sort_ordered(order);
     std::vector<Directive> directives =
@@ -156,7 +155,7 @@ class GreedyPolicy final : public Policy {
     const Platform& platform = view.platform();
     const Time now = view.now();
 
-    std::vector<JobId> candidates = live_jobs_scan(view);
+    std::vector<JobId> candidates = live_jobs_copy(view);
     std::vector<char> edge_free(platform.edge_count(), 1);
     std::vector<char> cloud_free(platform.cloud_count(), 1);
 
@@ -172,7 +171,7 @@ class GreedyPolicy final : public Policy {
       const int fresh = pick_fresh_cloud(view, cloud_free);
 
       for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-        const JobState& s = view.state(candidates[pos]);
+        const JobFields s = view.fields(candidates[pos]);
         double min_stretch = std::numeric_limits<double>::infinity();
         int argmin = kAllocUnassigned;
         double keep_stretch = std::numeric_limits<double>::infinity();
@@ -180,7 +179,7 @@ class GreedyPolicy final : public Policy {
           const Time done = uncontended_completion(
               view.instance(), s, target == kTargetKeep ? s.alloc : target,
               now);
-          return stretch_of(platform, s.job, done);
+          return stretch_of(platform, *s.job, done);
         };
         const auto consider = [&](int target) {
           const double stretch = stretch_on(target);
@@ -192,14 +191,14 @@ class GreedyPolicy final : public Policy {
         int keep_target = kAllocUnassigned;
         if (s.alloc != kAllocUnassigned) {
           const bool own_free =
-              s.alloc == kAllocEdge ? edge_free[s.job.origin] != 0
+              s.alloc == kAllocEdge ? edge_free[s.job->origin] != 0
                                     : cloud_free[s.alloc] != 0;
           keep_target = own_free ? s.alloc : kTargetKeep;
           keep_stretch = stretch_on(keep_target);
           min_stretch = keep_stretch;
           argmin = keep_target;
         }
-        if (edge_free[s.job.origin] && s.alloc != kAllocEdge) {
+        if (edge_free[s.job->origin] && s.alloc != kAllocEdge) {
           consider(kAllocEdge);
         }
         if (fresh >= 0 && fresh != s.alloc) consider(fresh);
@@ -226,7 +225,7 @@ class GreedyPolicy final : public Policy {
       directives.push_back(Directive{chosen, best_resource, priority});
       priority += 1.0;
       if (best_resource == kAllocEdge) {
-        edge_free[view.state(chosen).job.origin] = 0;
+        edge_free[view.fields(chosen).job->origin] = 0;
       } else if (best_resource != kTargetKeep) {
         cloud_free[best_resource] = 0;
       }
@@ -249,7 +248,7 @@ class SrptPolicy final : public Policy {
     (void)events;
     const Time now = view.now();
 
-    std::vector<JobId> candidates = live_jobs_scan(view);
+    std::vector<JobId> candidates = live_jobs_copy(view);
     std::vector<char> edge_free(view.platform().edge_count(), 1);
     std::vector<char> cloud_free(view.platform().cloud_count(), 1);
 
@@ -264,7 +263,7 @@ class SrptPolicy final : public Policy {
       const int fresh = pick_fresh_cloud(view, cloud_free);
 
       for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-        const JobState& s = view.state(candidates[pos]);
+        const JobFields s = view.fields(candidates[pos]);
         const auto consider = [&](int target) {
           const Time done = uncontended_completion(
               view.instance(), s, target == kTargetKeep ? s.alloc : target,
@@ -277,14 +276,14 @@ class SrptPolicy final : public Policy {
         };
         if (s.alloc != kAllocUnassigned) {
           const bool own_free =
-              s.alloc == kAllocEdge ? edge_free[s.job.origin] != 0
+              s.alloc == kAllocEdge ? edge_free[s.job->origin] != 0
                                     : cloud_free[s.alloc] != 0;
           consider(own_free ? s.alloc : kTargetKeep);
         }
         const bool may_restart =
             config_.allow_reexecution || s.alloc == kAllocUnassigned;
         if (may_restart) {
-          if (edge_free[s.job.origin] && s.alloc != kAllocEdge) {
+          if (edge_free[s.job->origin] && s.alloc != kAllocEdge) {
             consider(kAllocEdge);
           }
           if (fresh >= 0 && fresh != s.alloc) consider(fresh);
@@ -296,7 +295,7 @@ class SrptPolicy final : public Policy {
       directives.push_back(Directive{chosen, best_resource, priority});
       priority += 1.0;
       if (best_resource == kAllocEdge) {
-        edge_free[view.state(chosen).job.origin] = 0;
+        edge_free[view.fields(chosen).job->origin] = 0;
       } else if (best_resource != kTargetKeep) {
         cloud_free[best_resource] = 0;
       }
@@ -327,9 +326,9 @@ class SsfEdfPolicy final : public Policy {
       recompute_deadlines(view);
     }
     std::vector<OrderedJob> order;
-    for (const JobState& s : view.states()) {
-      if (!s.live()) continue;
-      order.push_back(OrderedJob{s.job.id, deadlines_[s.job.id]});
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
+      order.push_back(OrderedJob{s.job->id, deadlines_[s.job->id]});
     }
     sort_ordered(order);
     std::vector<Directive> directives =
@@ -343,17 +342,17 @@ class SsfEdfPolicy final : public Policy {
     const Platform& platform = view.platform();
     const Time now = view.now();
     std::vector<OrderedJob> entries;
-    for (const JobState& s : view.states()) {
-      if (!s.live()) continue;
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
       entries.push_back(
-          OrderedJob{s.job.id, s.job.release + stretch * s.best_time});
+          OrderedJob{s.job->id, s.job->release + stretch * s.best_time});
     }
     sort_ordered(entries);
 
     ResourceClock clock(view.instance(), now);
     bool ok = true;
     for (const OrderedJob& e : entries) {
-      const JobState& s = view.state(e.id);
+      const JobFields s = view.fields(e.id);
       const auto [target, done] = best_target_per_target(platform, clock, s);
       clock.commit(platform, s, target);
       if (time_gt(done, e.key)) {
@@ -372,11 +371,11 @@ class SsfEdfPolicy final : public Policy {
     const Time now = view.now();
     double lo = 1.0;
     bool any_live = false;
-    for (const JobState& s : view.states()) {
-      if (!s.live()) continue;
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
       any_live = true;
       const Time best_done = best_uncontended_completion(platform, s, now);
-      lo = std::max(lo, (best_done - s.job.release) / s.best_time);
+      lo = std::max(lo, (best_done - s.job->release) / s.best_time);
     }
     if (!any_live) return;
 
@@ -410,15 +409,15 @@ class EdgeOnlyPolicy final : public Policy {
     std::vector<char> touched(view.platform().edge_count(), 0);
     for (const Event& e : events) {
       if (e.kind == EventKind::kRelease) {
-        touched[view.state(e.job).job.origin] = 1;
+        touched[view.fields(e.job).job->origin] = 1;
       }
     }
     for (EdgeId j = 0; j < view.platform().edge_count(); ++j) {
       if (touched[j]) recompute_edge_deadlines(view, j);
     }
-    for (const JobState& s : view.states()) {
-      if (!s.live()) continue;
-      out.push_back(Directive{s.job.id, kAllocEdge, deadlines_[s.job.id]});
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
+      out.push_back(Directive{s.job->id, kAllocEdge, deadlines_[s.job->id]});
     }
   }
 
@@ -433,12 +432,13 @@ class EdgeOnlyPolicy final : public Policy {
     const Platform& platform = view.platform();
     const double speed = platform.edge_speed(j);
     std::vector<Entry> entries;
-    for (const JobState& s : view.states()) {
-      if (!s.live() || s.job.origin != j) continue;
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
+      if (s.job->origin != j) continue;
       const double rem_work =
-          (s.alloc == kAllocEdge) ? clamp_amount(s.rem_work) : s.job.work;
-      entries.push_back(Entry{s.job.id,
-                              s.job.release + stretch * s.best_time,
+          (s.alloc == kAllocEdge) ? clamp_amount(s.rem_work) : s.job->work;
+      entries.push_back(Entry{s.job->id,
+                              s.job->release + stretch * s.best_time,
                               rem_work / speed});
     }
     std::sort(entries.begin(), entries.end(),
@@ -461,13 +461,14 @@ class EdgeOnlyPolicy final : public Policy {
     const double speed = view.platform().edge_speed(j);
     double lo = 1.0;
     bool any = false;
-    for (const JobState& s : view.states()) {
-      if (!s.live() || s.job.origin != j) continue;
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
+      if (s.job->origin != j) continue;
       any = true;
       const double rem_work =
-          (s.alloc == kAllocEdge) ? clamp_amount(s.rem_work) : s.job.work;
+          (s.alloc == kAllocEdge) ? clamp_amount(s.rem_work) : s.job->work;
       const Time best_done = view.now() + rem_work / speed;
-      lo = std::max(lo, (best_done - s.job.release) / s.best_time);
+      lo = std::max(lo, (best_done - s.job->release) / s.best_time);
     }
     if (!any) return;
 
@@ -538,21 +539,22 @@ class FailoverPolicy final : public Policy {
     }
 
     std::vector<int> cloud_load(failures_.size(), 0);
-    for (const JobState& s : view.states()) {
-      if (s.live() && is_cloud_alloc(s.alloc) &&
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
+      if (is_cloud_alloc(s.alloc) &&
           static_cast<std::size_t>(s.alloc) < cloud_load.size()) {
         ++cloud_load[s.alloc];
       }
     }
     std::vector<Directive> directives;
     base_->decide(view, events, directives);
-    std::vector<char> directed(view.states().size(), 0);
+    std::vector<char> directed(view.state_count(), 0);
     for (Directive& d : directives) {
       if (d.job < 0 || static_cast<std::size_t>(d.job) >= directed.size()) {
         continue;
       }
       directed[d.job] = 1;
-      const JobState& s = view.state(d.job);
+      const JobFields s = view.fields(d.job);
       const int effective = d.target == kTargetKeep ? s.alloc : d.target;
       if (!is_cloud_alloc(effective) ||
           static_cast<std::size_t>(effective) >= failures_.size()) {
@@ -567,15 +569,16 @@ class FailoverPolicy final : public Policy {
       }
     }
 
-    for (const JobState& s : view.states()) {
-      if (!s.live() || directed[s.job.id] != 0) continue;
+    for (const JobId id : view.live_jobs()) {
+      const JobFields s = view.fields(id);
+      if (directed[s.job->id] != 0) continue;
       if (!is_cloud_alloc(s.alloc) ||
           static_cast<std::size_t>(s.alloc) >= failures_.size() ||
           !evacuate(s.alloc)) {
         continue;
       }
       directives.push_back(Directive{
-          s.job.id, reroute_target(view, s, now, cloud_load),
+          s.job->id, reroute_target(view, s, now, cloud_load),
           kEvacuationPriority});
     }
     out.insert(out.end(), directives.begin(), directives.end());
@@ -591,7 +594,7 @@ class FailoverPolicy final : public Policy {
   [[nodiscard]] bool evacuate(CloudId k) const {
     return down_[k] != 0 || blacklisted(k);
   }
-  [[nodiscard]] int reroute_target(const SimView& view, const JobState& state,
+  [[nodiscard]] int reroute_target(const SimView& view, const JobFields& state,
                                    Time now,
                                    std::vector<int>& cloud_load) const {
     const Platform& platform = view.platform();

@@ -157,36 +157,5 @@ TEST(EngineEdge, LongSimulationTimescale) {
   EXPECT_LT(m.max_stretch, 10.0);
 }
 
-TEST(EngineEdge, PolicySeesPreDecisionActivityState) {
-  // During decide(), JobState::active still reflects the previous round,
-  // which policies may use to detect preemption.
-  Instance instance;
-  instance.platform = Platform({1.0}, 0);
-  instance.jobs = {{0, 0, 2.0, 0.0, 0.0, 0.0}, {1, 0, 1.0, 1.0, 0.0, 0.0}};
-
-  class Recorder final : public Policy {
-   public:
-    bool saw_active_compute = false;
-    [[nodiscard]] std::string name() const override { return "Recorder"; }
-    void decide(const SimView& view, const std::vector<Event>& events,
-                std::vector<Directive>& out) override {
-      (void)events;
-      if (view.now() > 0.5 && view.state(0).live()) {
-        saw_active_compute |=
-            view.state(0).active == Activity::kCompute;
-      }
-      for (const JobState& s : view.states()) {
-        if (s.live()) {
-          out.push_back(Directive{s.job.id, kAllocEdge,
-                                  static_cast<double>(s.job.id)});
-        }
-      }
-    }
-  };
-  Recorder policy;
-  (void)simulate(instance, policy);
-  EXPECT_TRUE(policy.saw_active_compute);
-}
-
 }  // namespace
 }  // namespace ecs

@@ -94,15 +94,13 @@ TEST(Gantt, AbandonedRunsLowercase) {
     void decide(const SimView& view, const std::vector<Event>& events,
                 std::vector<Directive>& out) override {
       (void)events;
-      for (const JobState& s : view.states()) {
-        if (!s.live()) continue;
-        if (s.job.id == 10) {
+      for (const JobId id : view.live_jobs()) {
+        if (id == 10) {
           // Start on the cloud, flee to the edge after t = 2.
           out.push_back(Directive{10, view.now() >= 2.0 ? kAllocEdge : 0,
                                   0.0});
         } else {
-          out.push_back(Directive{s.job.id, kAllocEdge,
-                                  1.0 + s.job.id});
+          out.push_back(Directive{id, kAllocEdge, 1.0 + id});
         }
       }
     }

@@ -82,18 +82,15 @@ TEST(HeteroCloud, ValidatorChecksSpeedScaledQuantity) {
 
 TEST(HeteroCloud, ProjectionUsesCloudSpeed) {
   const Platform p({0.5}, std::vector<double>{1.0, 4.0});
-  JobState s;
-  s.job = Job{0, 0, 8.0, 0.0, 1.0, 1.0};
-  s.best_time = p.best_time(s.job);
-  s.released = true;
-  EXPECT_DOUBLE_EQ(uncontended_completion(p, s, 0, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(uncontended_completion(p, s, 1, 0.0), 4.0);
+  const Job job{0, 0, 8.0, 0.0, 1.0, 1.0};
+  const JobFields f{&job, p.best_time(job)};
+  EXPECT_DOUBLE_EQ(uncontended_completion(p, f, 0, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(uncontended_completion(p, f, 1, 0.0), 4.0);
   EXPECT_EQ(fastest_cloud(p), 1);
-  EXPECT_DOUBLE_EQ(best_uncontended_completion(p, s, 0.0), 4.0);
+  EXPECT_DOUBLE_EQ(best_uncontended_completion(p, f, 0.0), 4.0);
   ResourceClock clock(p, 0.0);
-  EXPECT_DOUBLE_EQ(clock.project(p, s, 1), 4.0);
-  const auto [target, done] =
-      clock.best_target_sticky(p, fields_of(s));
+  EXPECT_DOUBLE_EQ(clock.project(p, f, 1), 4.0);
+  const auto [target, done] = clock.best_target_sticky(p, f);
   EXPECT_EQ(target, 1);
   EXPECT_DOUBLE_EQ(done, 4.0);
 }

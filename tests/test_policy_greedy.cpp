@@ -7,6 +7,7 @@
 
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
+#include "pool_view.hpp"
 #include "sim/engine.hpp"
 
 namespace ecs {
@@ -114,20 +115,11 @@ TEST(Greedy, ValidOnBurstyContention) {
 /// One decide() on a hand-built view: every job of `instance` live and
 /// unassigned at time `now`.
 std::vector<Directive> decide_once(const Instance& instance, Time now) {
-  std::vector<JobState> states;
-  for (const Job& job : instance.jobs) {
-    JobState s;
-    s.job = job;
-    s.best_time = instance.platform.best_time(job);
-    s.rem_work = job.work;
-    s.released = true;
-    states.push_back(s);
-  }
-  const SimView view(instance, states, now);
+  const PoolView round(instance, now);
   GreedyPolicy policy;
   policy.reset(instance);
   std::vector<Directive> out;
-  policy.decide(view, {}, out);
+  policy.decide(round.view(), {}, out);
   return out;
 }
 

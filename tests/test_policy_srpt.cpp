@@ -7,6 +7,7 @@
 
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
+#include "pool_view.hpp"
 #include "sim/engine.hpp"
 
 namespace ecs {
@@ -117,28 +118,13 @@ TEST(Srpt, ParallelismAcrossEdgeAndClouds) {
   EXPECT_LT(m.makespan, 8.0);
 }
 
-/// Every job of `instance` live at time 0 and unassigned.
-std::vector<JobState> released_states(const Instance& instance) {
-  std::vector<JobState> states;
-  for (const Job& job : instance.jobs) {
-    JobState s;
-    s.job = job;
-    s.best_time = instance.platform.best_time(job);
-    s.rem_work = job.work;
-    s.released = true;
-    states.push_back(s);
-  }
-  return states;
-}
-
-/// One decide() on a hand-built view of `states` at time 0.
+/// One decide() on a hand-built round at time 0.
 std::vector<Directive> decide_once(const Instance& instance,
-                                   const std::vector<JobState>& states) {
-  const SimView view(instance, states, 0.0);
+                                   const PoolView& round) {
   SrptPolicy policy;
   policy.reset(instance);
   std::vector<Directive> out;
-  policy.decide(view, {}, out);
+  policy.decide(round.view(), {}, out);
   return out;
 }
 
@@ -149,11 +135,11 @@ TEST(Srpt, KeepWinsWithinMarginOfItsOwnRestart) {
   Instance instance;
   instance.platform = Platform({1.0}, 1);
   instance.jobs = {{0, 0, 2.0, 0.0, 1.0, 1.0}};
-  std::vector<JobState> states = released_states(instance);
-  states[0].alloc = 0;
-  states[0].rem_work = 1.5;
-  states[0].rem_down = 0.5000005;
-  const std::vector<Directive> out = decide_once(instance, states);
+  PoolView round(instance);
+  round.pool().alloc(0) = 0;
+  round.pool().rem_work(0) = 1.5;
+  round.pool().rem_down(0) = 0.5000005;
+  const std::vector<Directive> out = decide_once(instance, round);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].target, 0);
 }
@@ -165,8 +151,7 @@ TEST(Srpt, NearTieGoesToTheEarlierLiveJob) {
   instance.platform = Platform({1.0}, 0);
   instance.jobs = {{0, 0, 1.0000009, 0.0, 0.0, 0.0},
                    {1, 0, 1.0, 0.0, 0.0, 0.0}};
-  const std::vector<Directive> out =
-      decide_once(instance, released_states(instance));
+  const std::vector<Directive> out = decide_once(instance, PoolView(instance));
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].job, 0);
   EXPECT_EQ(out[0].target, kAllocEdge);

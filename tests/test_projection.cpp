@@ -14,17 +14,15 @@ namespace {
 
 Platform small_platform() { return Platform({0.5}, 2); }
 
-JobState fresh_state(const Platform& platform, Job job) {
-  JobState s;
-  s.job = job;
-  s.best_time = platform.best_time(job);
-  s.released = true;
-  return s;
+/// An unassigned job's fields; `job` must outlive them.
+JobFields unassigned(const Platform& platform, const Job& job) {
+  return JobFields{&job, platform.best_time(job)};
 }
 
 TEST(Projection, RemainingOnFreshTargets) {
   const Platform platform = small_platform();
-  JobState s = fresh_state(platform, {0, 0, 4.0, 0.0, 1.0, 2.0});
+  const Job job{0, 0, 4.0, 0.0, 1.0, 2.0};
+  JobFields s = unassigned(platform, job);
   const RemainingAmounts edge = remaining_on(s, kAllocEdge);
   EXPECT_DOUBLE_EQ(edge.work, 4.0);
   EXPECT_DOUBLE_EQ(edge.up, 0.0);
@@ -37,7 +35,8 @@ TEST(Projection, RemainingOnFreshTargets) {
 
 TEST(Projection, RemainingOnCurrentAllocationKeepsProgress) {
   const Platform platform = small_platform();
-  JobState s = fresh_state(platform, {0, 0, 4.0, 0.0, 1.0, 2.0});
+  const Job job{0, 0, 4.0, 0.0, 1.0, 2.0};
+  JobFields s = unassigned(platform, job);
   s.alloc = 0;
   s.rem_up = 0.0;    // uploaded
   s.rem_work = 1.5;  // partially computed
@@ -53,7 +52,8 @@ TEST(Projection, RemainingOnCurrentAllocationKeepsProgress) {
 
 TEST(Projection, UncontendedCompletionEdgeAndCloud) {
   const Platform platform = small_platform();
-  const JobState s = fresh_state(platform, {0, 0, 4.0, 0.0, 1.0, 2.0});
+  const Job job{0, 0, 4.0, 0.0, 1.0, 2.0};
+  const JobFields s = unassigned(platform, job);
   // Edge: 4 / 0.5 = 8; cloud: 1 + 4 + 2 = 7; at now = 10.
   EXPECT_DOUBLE_EQ(uncontended_completion(platform, s, kAllocEdge, 10.0),
                    18.0);
@@ -63,7 +63,8 @@ TEST(Projection, UncontendedCompletionEdgeAndCloud) {
 
 TEST(Projection, BestUncontendedUsesProgressOnCurrentCloud) {
   const Platform platform = small_platform();
-  JobState s = fresh_state(platform, {0, 0, 4.0, 0.0, 1.0, 2.0});
+  const Job job{0, 0, 4.0, 0.0, 1.0, 2.0};
+  JobFields s = unassigned(platform, job);
   s.alloc = 1;
   s.rem_up = 0.0;
   s.rem_work = 0.5;
@@ -75,8 +76,10 @@ TEST(Projection, BestUncontendedUsesProgressOnCurrentCloud) {
 TEST(Projection, ResourceClockEdgeQueueing) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState a = fresh_state(platform, {0, 0, 2.0, 0.0, 10.0, 10.0});
-  const JobState b = fresh_state(platform, {1, 0, 1.0, 0.0, 10.0, 10.0});
+  const Job a_job{0, 0, 2.0, 0.0, 10.0, 10.0};
+  const JobFields a = unassigned(platform, a_job);
+  const Job b_job{1, 0, 1.0, 0.0, 10.0, 10.0};
+  const JobFields b = unassigned(platform, b_job);
   EXPECT_DOUBLE_EQ(clock.commit(platform, a, kAllocEdge), 4.0);
   // Second job queues behind the first on the same edge CPU.
   EXPECT_DOUBLE_EQ(clock.commit(platform, b, kAllocEdge), 6.0);
@@ -85,8 +88,10 @@ TEST(Projection, ResourceClockEdgeQueueing) {
 TEST(Projection, ResourceClockCloudPipeline) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState a = fresh_state(platform, {0, 0, 2.0, 0.0, 1.0, 1.0});
-  const JobState b = fresh_state(platform, {1, 0, 2.0, 0.0, 1.0, 1.0});
+  const Job a_job{0, 0, 2.0, 0.0, 1.0, 1.0};
+  const JobFields a = unassigned(platform, a_job);
+  const Job b_job{1, 0, 2.0, 0.0, 1.0, 1.0};
+  const JobFields b = unassigned(platform, b_job);
   // a on cloud 0: up [0,1), exec [1,3), down [3,4).
   EXPECT_DOUBLE_EQ(clock.commit(platform, a, 0), 4.0);
   // b on cloud 1: its uplink waits for the shared edge send port:
@@ -98,8 +103,10 @@ TEST(Projection, ResourceClockCloudPipeline) {
 TEST(Projection, ResourceClockSameCloudSerializesCompute) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState a = fresh_state(platform, {0, 0, 3.0, 0.0, 0.0, 0.0});
-  const JobState b = fresh_state(platform, {1, 0, 3.0, 0.0, 0.0, 0.0});
+  const Job a_job{0, 0, 3.0, 0.0, 0.0, 0.0};
+  const JobFields a = unassigned(platform, a_job);
+  const Job b_job{1, 0, 3.0, 0.0, 0.0, 0.0};
+  const JobFields b = unassigned(platform, b_job);
   EXPECT_DOUBLE_EQ(clock.commit(platform, a, 0), 3.0);
   EXPECT_DOUBLE_EQ(clock.commit(platform, b, 0), 6.0);
   // The other cloud is still free.
@@ -109,9 +116,9 @@ TEST(Projection, ResourceClockSameCloudSerializesCompute) {
 TEST(Projection, BestTargetPrefersFasterOption) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState s = fresh_state(platform, {0, 0, 4.0, 0.0, 1.0, 1.0});
-  const auto [target, done] =
-      clock.best_target_sticky(platform, fields_of(s));
+  const Job job{0, 0, 4.0, 0.0, 1.0, 1.0};
+  const JobFields s = unassigned(platform, job);
+  const auto [target, done] = clock.best_target_sticky(platform, s);
   // Cloud: 6 < edge: 8.
   EXPECT_EQ(target, 0);
   EXPECT_DOUBLE_EQ(done, 6.0);
@@ -120,12 +127,13 @@ TEST(Projection, BestTargetPrefersFasterOption) {
 TEST(Projection, BestTargetFallsBackToEdgeWhenCloudsBusy) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState blocker = fresh_state(platform, {0, 0, 50.0, 0.0, 0.0, 0.0});
+  const Job blocker_job{0, 0, 50.0, 0.0, 0.0, 0.0};
+  const JobFields blocker = unassigned(platform, blocker_job);
   (void)clock.commit(platform, blocker, 0);
   (void)clock.commit(platform, blocker, 1);
-  const JobState s = fresh_state(platform, {1, 0, 4.0, 0.0, 1.0, 1.0});
-  const auto [target, done] =
-      clock.best_target_sticky(platform, fields_of(s));
+  const Job job{1, 0, 4.0, 0.0, 1.0, 1.0};
+  const JobFields s = unassigned(platform, job);
+  const auto [target, done] = clock.best_target_sticky(platform, s);
   EXPECT_EQ(target, kAllocEdge);
   EXPECT_DOUBLE_EQ(done, 8.0);
 }
@@ -133,7 +141,8 @@ TEST(Projection, BestTargetFallsBackToEdgeWhenCloudsBusy) {
 TEST(Projection, ZeroDownlinkSkipsReceivePort) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState s = fresh_state(platform, {0, 0, 2.0, 0.0, 1.0, 0.0});
+  const Job job{0, 0, 2.0, 0.0, 1.0, 0.0};
+  const JobFields s = unassigned(platform, job);
   EXPECT_DOUBLE_EQ(clock.commit(platform, s, 0), 3.0);  // up 1 + work 2
 }
 
@@ -143,9 +152,11 @@ TEST(Projection, UploadedJobIgnoresOtherUplinksOnSharedPorts) {
   // ports — only the cloud CPU matters for its remaining execution.
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState other = fresh_state(platform, {1, 0, 1.0, 0.0, 100.0, 0.0});
+  const Job other_job{1, 0, 1.0, 0.0, 100.0, 0.0};
+  const JobFields other = unassigned(platform, other_job);
   (void)clock.commit(platform, other, 1);  // send port busy until t=100
-  JobState uploaded = fresh_state(platform, {0, 0, 5.0, 0.0, 2.0, 0.0});
+  const Job uploaded_job{0, 0, 5.0, 0.0, 2.0, 0.0};
+  JobFields uploaded = unassigned(platform, uploaded_job);
   uploaded.alloc = 0;
   uploaded.rem_up = 0.0;
   uploaded.rem_work = 5.0;
@@ -157,7 +168,8 @@ TEST(Projection, UploadedJobIgnoresOtherUplinksOnSharedPorts) {
 TEST(Projection, ProjectDoesNotMutateClock) {
   const Platform platform = small_platform();
   ResourceClock clock(platform, 0.0);
-  const JobState s = fresh_state(platform, {0, 0, 2.0, 0.0, 1.0, 1.0});
+  const Job job{0, 0, 2.0, 0.0, 1.0, 1.0};
+  const JobFields s = unassigned(platform, job);
   const Time first = clock.project(platform, s, 0);
   const Time second = clock.project(platform, s, 0);
   EXPECT_DOUBLE_EQ(first, second);

@@ -5,26 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include "pool_view.hpp"
 #include "sim/engine.hpp"
 
 namespace ecs {
 namespace {
 
-JobState make_state(const Platform& platform, Job job) {
-  JobState s;
-  s.job = job;
-  s.best_time = platform.best_time(job);
-  s.released = true;
-  return s;
+/// An unassigned job's fields; `job` must outlive them.
+JobFields unassigned(const Platform& platform, const Job& job) {
+  return JobFields{&job, platform.best_time(job)};
 }
 
 TEST(BestTargetSticky, PicksStrictlyBetterTarget) {
   const Platform platform({0.25}, 1);
   ResourceClock clock(platform, 0.0);
-  const JobState s = make_state(platform, {0, 0, 2.0, 0.0, 0.5, 0.5});
+  const Job job{0, 0, 2.0, 0.0, 0.5, 0.5};
   // Cloud 3 < edge 8.
   const auto [target, done] =
-      clock.best_target_sticky(platform, fields_of(s));
+      clock.best_target_sticky(platform, unassigned(platform, job));
   EXPECT_EQ(target, 0);
   EXPECT_DOUBLE_EQ(done, 3.0);
 }
@@ -34,13 +32,13 @@ TEST(BestTargetSticky, KeepsCurrentAllocationOnTies) {
   // there rather than hopping to the equivalent cloud 0.
   const Platform platform({0.25}, 2);
   ResourceClock clock(platform, 0.0);
-  JobState s = make_state(platform, {0, 0, 2.0, 0.0, 0.5, 0.5});
-  s.alloc = 1;
-  s.rem_up = 0.5;
-  s.rem_work = 2.0;
-  s.rem_down = 0.5;
-  const auto [target, done] =
-      clock.best_target_sticky(platform, fields_of(s));
+  const Job job{0, 0, 2.0, 0.0, 0.5, 0.5};
+  JobFields f = unassigned(platform, job);
+  f.alloc = 1;
+  f.rem_up = 0.5;
+  f.rem_work = 2.0;
+  f.rem_down = 0.5;
+  const auto [target, done] = clock.best_target_sticky(platform, f);
   EXPECT_EQ(target, 1);
   EXPECT_DOUBLE_EQ(done, 3.0);
 }
@@ -49,13 +47,13 @@ TEST(BestTargetSticky, ProgressMakesCurrentAllocationWin) {
   // Continuing (remaining work 0.5) beats even an idle fresh cloud.
   const Platform platform({0.25}, 2);
   ResourceClock clock(platform, 0.0);
-  JobState s = make_state(platform, {0, 0, 2.0, 0.0, 0.5, 0.5});
-  s.alloc = 0;
-  s.rem_up = 0.0;
-  s.rem_work = 0.5;
-  s.rem_down = 0.5;
-  const auto [target, done] =
-      clock.best_target_sticky(platform, fields_of(s));
+  const Job job{0, 0, 2.0, 0.0, 0.5, 0.5};
+  JobFields f = unassigned(platform, job);
+  f.alloc = 0;
+  f.rem_up = 0.0;
+  f.rem_work = 0.5;
+  f.rem_down = 0.5;
+  const auto [target, done] = clock.best_target_sticky(platform, f);
   EXPECT_EQ(target, 0);
   EXPECT_DOUBLE_EQ(done, 1.0);
 }
@@ -65,15 +63,15 @@ TEST(BestTargetSticky, LeavesCurrentWhenGenuinelyBetterElsewhere) {
   // future; the edge is strictly better.
   const Platform platform({1.0}, 1);
   ResourceClock clock(platform, 0.0);
-  const JobState blocker = make_state(platform, {1, 0, 50.0, 0.0, 0.0, 0.0});
-  (void)clock.commit(platform, blocker, 0);
-  JobState s = make_state(platform, {0, 0, 2.0, 0.0, 0.1, 0.1});
-  s.alloc = 0;
-  s.rem_up = 0.1;
-  s.rem_work = 2.0;
-  s.rem_down = 0.1;
-  const auto [target, done] =
-      clock.best_target_sticky(platform, fields_of(s));
+  const Job blocker{1, 0, 50.0, 0.0, 0.0, 0.0};
+  (void)clock.commit(platform, unassigned(platform, blocker), 0);
+  const Job job{0, 0, 2.0, 0.0, 0.1, 0.1};
+  JobFields f = unassigned(platform, job);
+  f.alloc = 0;
+  f.rem_up = 0.1;
+  f.rem_work = 2.0;
+  f.rem_down = 0.1;
+  const auto [target, done] = clock.best_target_sticky(platform, f);
   EXPECT_EQ(target, kAllocEdge);
   EXPECT_DOUBLE_EQ(done, 2.0);
 }
@@ -97,16 +95,9 @@ TEST(ListAssign, OnlyImmediateStartersGetExplicitTargets) {
   instance.jobs = {{0, 0, 2.0, 0.0, 1.0, 0.5},
                    {1, 0, 2.0, 0.0, 1.0, 0.5},
                    {2, 0, 0.4, 0.0, 5.0, 5.0}};
-  std::vector<JobState> states;
-  for (const Job& job : instance.jobs) {
-    states.push_back(JobState{});
-    states.back().job = job;
-    states.back().best_time = instance.platform.best_time(job);
-    states.back().released = true;
-  }
-  const SimView view(instance, states, 0.0);
+  const PoolView round(instance);
   const std::vector<Directive> directives = list_assign_directives(
-      view, {{0, 1.0}, {1, 2.0}, {2, 3.0}});
+      round.view(), {{0, 1.0}, {1, 2.0}, {2, 3.0}});
   ASSERT_EQ(directives.size(), 3u);
   EXPECT_EQ(directives[0].job, 0);
   EXPECT_EQ(directives[0].target, 0);  // starts uplink now
