@@ -164,32 +164,85 @@ struct DigestRow {
   std::uint64_t run;
 };
 
+/// A row pinning one world under both front doors: the run digest of
+/// simulate() and that of simulate_stream() over InstanceArrivalStream.
+struct StreamDigestRow {
+  const char* cell;
+  std::uint64_t world;
+  std::uint64_t run;
+  std::uint64_t stream_run;
+};
+
+namespace detail {
+
+inline void expect_recorded_runs(const char* cell, bool found,
+                                 std::uint64_t recorded_world,
+                                 std::span<const std::uint64_t> recorded,
+                                 std::uint64_t world,
+                                 std::span<const std::uint64_t> runs) {
+  std::string row = "{\"" + std::string(cell) + "\"";
+  char hex[24];
+  std::snprintf(hex, sizeof hex, ", 0x%016llx",
+                static_cast<unsigned long long>(world));
+  row += hex;
+  for (const std::uint64_t run : runs) {
+    std::snprintf(hex, sizeof hex, ", 0x%016llx",
+                  static_cast<unsigned long long>(run));
+    row += hex;
+  }
+  row += "},";
+  if (!found) {
+    ADD_FAILURE() << "no recorded digest for " << cell << "; add the row:\n    "
+                  << row;
+    return;
+  }
+  if (recorded_world != world) {
+    ADD_FAILURE() << "generator mismatch in " << cell
+                  << ": the generated world differs from the recorded one "
+                     "(a libm or generator change, not schedule drift); "
+                     "the run digest was not compared. Current row:\n    "
+                  << row;
+    return;
+  }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(recorded[i], runs[i])
+        << "run digest drift in " << cell << " (column " << i + 1
+        << "). If the change is intended, replace the row with:\n    " << row;
+  }
+}
+
+}  // namespace detail
+
 /// Checks one cell against its table row. On a missing row or a mismatch
 /// the failure message carries the replacement row.
 inline void expect_recorded_digest(std::span<const DigestRow> table,
                                    const std::string& cell,
                                    std::uint64_t world, std::uint64_t run) {
-  char row[160];
-  std::snprintf(row, sizeof row, "{\"%s\", 0x%016llx, 0x%016llx},",
-                cell.c_str(), static_cast<unsigned long long>(world),
-                static_cast<unsigned long long>(run));
+  const std::uint64_t runs[] = {run};
   for (const DigestRow& r : table) {
     if (cell != r.cell) continue;
-    if (r.world != world) {
-      ADD_FAILURE() << "generator mismatch in " << cell
-                    << ": the generated world differs from the recorded one "
-                       "(a libm or generator change, not schedule drift); "
-                       "the run digest was not compared. Current row:\n    "
-                    << row;
-      return;
-    }
-    EXPECT_EQ(r.run, run)
-        << "run digest drift in " << cell
-        << ". If the change is intended, replace the row with:\n    " << row;
+    const std::uint64_t recorded[] = {r.run};
+    detail::expect_recorded_runs(cell.c_str(), true, r.world, recorded, world,
+                                 runs);
     return;
   }
-  ADD_FAILURE() << "no recorded digest for " << cell << "; add the row:\n    "
-                << row;
+  detail::expect_recorded_runs(cell.c_str(), false, 0, {}, world, runs);
+}
+
+/// The same check for a row of both front doors.
+inline void expect_recorded_digest(std::span<const StreamDigestRow> table,
+                                   const std::string& cell,
+                                   std::uint64_t world, std::uint64_t run,
+                                   std::uint64_t stream_run) {
+  const std::uint64_t runs[] = {run, stream_run};
+  for (const StreamDigestRow& r : table) {
+    if (cell != r.cell) continue;
+    const std::uint64_t recorded[] = {r.run, r.stream_run};
+    detail::expect_recorded_runs(cell.c_str(), true, r.world, recorded, world,
+                                 runs);
+    return;
+  }
+  detail::expect_recorded_runs(cell.c_str(), false, 0, {}, world, runs);
 }
 
 }  // namespace ecs

@@ -15,6 +15,7 @@
 // fires for the policies that opt in — and records each cell's run digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -355,6 +356,75 @@ TEST(RoundElision, EmptyContractEngagesForReleaseDrivenPolicy) {
   expect_same_result(on, off);
 }
 
+// ------------------------------------------------------- engine order gaps
+//
+// Two engine orders no factory policy exposes in the matrices above: the
+// walk over live jobs that received no directive (the implicit keeps), and
+// the order in which completions at one instant fire. ReleaseOnlyPolicy
+// directs a job only in its release round, so every later round leaves the
+// contending jobs to the implicit-keep walk; the tie world releases equal
+// jobs together on equal edges, so distinct jobs finish at the same instant.
+
+std::span<const DigestRow> order_gap_digests();
+
+/// Four equal edges and two equal clouds; every batch releases one job per
+/// edge with identical amounts, so the jobs of a batch run in lockstep.
+Instance tie_instance() {
+  Instance instance;
+  instance.platform = Platform({0.5, 0.5, 0.5, 0.5}, 2);
+  JobId id = 0;
+  for (int batch = 0; batch < 12; ++batch) {
+    for (EdgeId edge = 0; edge < 4; ++edge) {
+      Job job;
+      job.id = id++;
+      job.origin = edge;
+      job.work = batch % 3 == 0 ? 2.0 : 1.0;
+      job.release = 1.5 * batch;
+      job.up = batch % 2 == 0 ? 0.5 : 0.25;
+      job.down = 0.25;
+      instance.jobs.push_back(job);
+    }
+  }
+  return instance;
+}
+
+Variant run_traced(const Instance& instance, Policy& policy) {
+  EngineConfig config;
+  obs::MemoryTraceSink sink;
+  config.trace = &sink;
+  Variant v;
+  v.result = simulate(instance, policy, config);
+  v.trace = sink.records();
+  return v;
+}
+
+TEST(OrderGaps, ImplicitKeepWalkIsPinned) {
+  for (const int seed : {0, 3}) {  // the fault-free worlds
+    FaultPlan faults;
+    const Instance instance = equivalence_instance(seed, &faults);
+    ReleaseOnlyPolicy policy;
+    const Variant v = run_traced(instance, policy);
+    expect_recorded_digest(order_gap_digests(),
+                           "release_only_seed" + std::to_string(seed),
+                           world_digest(instance, faults),
+                           run_digest(v.result, v.trace));
+  }
+}
+
+TEST(OrderGaps, SimultaneousCompletionOrderIsPinned) {
+  const Instance instance = tie_instance();
+  for (const char* name : {"edge-only", "greedy", "srpt", "ssf-edf",
+                           "fcfs"}) {
+    const auto policy = make_policy(name);
+    const Variant v = run_traced(instance, *policy);
+    std::string cell = std::string("ties_") + name;
+    std::replace(cell.begin(), cell.end(), '-', '_');
+    expect_recorded_digest(order_gap_digests(), cell,
+                           world_digest(instance, FaultPlan{}),
+                           run_digest(v.result, v.trace));
+  }
+}
+
 // ----------------------------------------------------- batched execution
 //
 // The batch driver's contract: a world's result depends only on its
@@ -551,6 +621,22 @@ std::span<const DigestRow> hot_path_digests() {
       {"failover_srpt_seed1", 0x213514a4ab09e484, 0xac33b1ff4f2cab67},
       {"failover_srpt_seed2", 0x061db414eab6130a, 0xc824b52700e403cf},
       {"failover_srpt_seed3", 0xb4bda944aee503e1, 0x0a66e7105bc0e45d},
+  };
+  return kRows;
+}
+
+// Recorded run digests of the order-gap scenarios, traced, default
+// configuration.
+
+std::span<const DigestRow> order_gap_digests() {
+  static constexpr DigestRow kRows[] = {
+      {"release_only_seed0", 0x112d9b428b594f29, 0x1ffa65333b8cc2b4},
+      {"release_only_seed3", 0xb4bda944aee503e1, 0xdaf44cf510d047ff},
+      {"ties_edge_only", 0x8375e1f5185f62c3, 0xabe61048b7b7b78b},
+      {"ties_greedy", 0x8375e1f5185f62c3, 0x660345d41fbae3f5},
+      {"ties_srpt", 0x8375e1f5185f62c3, 0x2a0f937fc3ea936b},
+      {"ties_ssf_edf", 0x8375e1f5185f62c3, 0xba504c492d3f2c47},
+      {"ties_fcfs", 0x8375e1f5185f62c3, 0x37d5c5aa1296b410},
   };
   return kRows;
 }
