@@ -69,11 +69,11 @@ void PickSet::snapshot(const SimView& view) {
   leaves_ = std::bit_ceil(std::max<std::size_t>(live, 1));
   // Leaves past the live jobs stay kEmpty; begin() keys the others.
   tree_.assign(2 * leaves_, kEmpty);
-  for (const JobId id : view.live_jobs()) {
+  for (const std::int32_t slot : view.live_slots()) {
     const auto i = static_cast<std::int32_t>(options_.size());
     PickOption& option = options_.emplace_back();
     option.slot = kIdle;
-    option.f = view.fields(id);
+    option.f = view.fields_at_slot(slot);
     const int alloc = option.f.alloc;
     // Continuing costs the same whether the target is named f.alloc or
     // kTargetKeep: both resolve to the job's own allocation.

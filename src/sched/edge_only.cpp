@@ -21,14 +21,14 @@ bool EdgeOnlyPolicy::feasible_on_edge(const SimView& view, EdgeId j,
   const Platform& platform = view.platform();
   const double speed = platform.edge_speed(j);
   entries_.clear();
-  for (const JobId id : view.live_jobs()) {
-    const JobFields s = view.fields(id);
+  for (const std::int32_t slot : view.live_slots()) {
+    const JobFields s = view.fields_at_slot(slot);
     if (s.job->origin != j) continue;
     // Edge-Only never allocates elsewhere, so remaining work is meaningful
     // only for an edge allocation; an unassigned job is fresh.
     const double rem_work =
         (s.alloc == kAllocEdge) ? clamp_amount(s.rem_work) : s.job->work;
-    entries_.push_back(Entry{s.job->id,
+    entries_.push_back(Entry{s.job->id, slot,
                              s.job->release + stretch * s.best_time,
                              rem_work / speed});
   }
@@ -43,11 +43,11 @@ bool EdgeOnlyPolicy::feasible_on_edge(const SimView& view, EdgeId j,
     if (time_gt(cursor, e.deadline)) return false;
   }
   if (deadlines_out != nullptr) {
-    // Keyed by state slot (identity outside streaming): slots recycle when
-    // jobs retire, and a recycled slot's new occupant triggers a release on
-    // its edge, which rewrites every deadline of that edge anyway.
+    // Keyed by state slot: slots recycle when jobs retire, and a recycled
+    // slot's new occupant triggers a release on its edge, which rewrites
+    // every deadline of that edge anyway.
     for (const Entry& e : entries_) {
-      (*deadlines_out)[view.slot(e.id)] = e.deadline;
+      (*deadlines_out)[static_cast<std::size_t>(e.slot)] = e.deadline;
     }
   }
   return true;
@@ -58,8 +58,8 @@ void EdgeOnlyPolicy::recompute_edge_deadlines(const SimView& view, EdgeId j) {
   const double speed = platform.edge_speed(j);
   double lo = 1.0;
   bool any = false;
-  for (const JobId id : view.live_jobs()) {
-    const JobFields s = view.fields(id);
+  for (const std::int32_t slot : view.live_slots()) {
+    const JobFields s = view.fields_at_slot(slot);
     if (s.job->origin != j) continue;
     any = true;
     const double rem_work =
@@ -97,9 +97,11 @@ void EdgeOnlyPolicy::decide(const SimView& view,
   // EDF on every edge: priority = deadline; the engine runs, per edge, the
   // allocated job with the smallest priority (preempting as needed).
   const std::span<const JobId> live = view.live_jobs();
+  const std::span<const std::int32_t> slots = view.live_slots();
   out.reserve(out.size() + live.size());
-  for (const JobId id : live) {
-    out.push_back(Directive{id, kAllocEdge, deadlines_[view.slot(id)],
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    out.push_back(Directive{live[i], kAllocEdge,
+                            deadlines_[static_cast<std::size_t>(slots[i])],
                             ReasonCode::kEdgeOnlyEdf});
   }
 }

@@ -51,6 +51,7 @@ class EdgeOnlyPolicy final : public Policy {
   /// One candidate job of the per-edge EDF feasibility test.
   struct Entry {
     JobId id;
+    std::int32_t slot;  ///< state slot, keys deadlines_
     double deadline;
     double exec_time;  ///< remaining execution time on this edge
   };

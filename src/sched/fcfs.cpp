@@ -16,10 +16,11 @@ void FcfsPolicy::decide(const SimView& view, const std::vector<Event>& events,
 
   fields_.clear();
   order_.clear();
-  for (const JobId id : view.live_jobs()) {
+  for (const std::int32_t slot : view.live_slots()) {
     const auto pos = static_cast<std::int32_t>(fields_.size());
-    fields_.push_back(view.fields(id));
-    order_.emplace_back(id, fields_.back().job->release, pos);
+    fields_.push_back(view.fields_at_slot(slot));
+    order_.emplace_back(fields_.back().job->id, fields_.back().job->release,
+                        pos);
   }
   sort_ordered(order_);
   if (!clock_.bound()) clock_.bind(view.instance(), view.now());

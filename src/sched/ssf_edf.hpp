@@ -72,7 +72,6 @@ class SsfEdfPolicy final : public Policy {
   // Workspace, reused across decide() calls and feasibility probes (zero
   // steady-state allocation; see DESIGN.md §6).
   std::vector<JobFields> fields_;      ///< live jobs' fields, gathered once
-  std::vector<std::int32_t> slots_;    ///< view.slot() of each fields_ entry
   std::vector<OrderedJob> entries_;    ///< the running probe's EDF entries
   std::vector<OrderedJob> kept_;       ///< last successful probe's entries
   double kept_stretch_ = 0.0;          ///< its stretch; NaN: none this call

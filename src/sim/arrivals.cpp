@@ -4,8 +4,9 @@
 
 namespace ecs {
 
-InstanceArrivalStream::InstanceArrivalStream(const Instance& instance)
-    : instance_(&instance) {
+void InstanceArrivalStream::bind(const Instance& instance) {
+  instance_ = &instance;
+  pos_ = 0;
   order_.resize(instance.jobs.size());
   for (std::size_t i = 0; i < order_.size(); ++i) {
     order_[i] = static_cast<JobId>(i);

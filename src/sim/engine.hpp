@@ -206,13 +206,14 @@ struct SimStats {
   /// Largest number of live jobs simultaneously holding no resource
   /// observed after any decision round.
   std::uint64_t max_queue_depth = 0;
-  /// High-water mark of the live set — the run's true working-set size.
-  /// Under streaming this is the memory bound: it tracks load, not total n.
+  /// High-water mark of the live set — the run's true working-set size and
+  /// its memory bound: it tracks load, not total n.
   std::uint64_t peak_live = 0;
-  /// Streaming only: high-water mark of the id -> slot map (live jobs plus
-  /// completed jobs awaiting their one-round retirement grace). The memory
-  /// regression tests pin peak_tracked = O(peak_live) under adversarial
-  /// completion orders; 0 in materialized runs.
+  /// High-water mark of the id -> slot map (live jobs plus completed jobs
+  /// awaiting their one-round retirement grace), reported for
+  /// simulate_stream() runs; simulate() over an in-memory instance reads 0.
+  /// The memory regression tests pin peak_tracked = O(peak_live) under
+  /// adversarial completion orders.
   std::uint64_t peak_tracked = 0;
   std::uint64_t admitted = 0;    ///< jobs released past admission control
   std::uint64_t completed = 0;   ///< admitted jobs that finished
@@ -236,19 +237,23 @@ struct SimResult {
   SimStats stats;
 };
 
-/// Runs `policy` over `instance` until every admitted job completes.
+/// Runs `policy` over `instance` until every admitted job completes. The
+/// engine replays `instance.jobs` as an arrival stream in (release, id)
+/// order, so this is simulate_stream() over an InstanceArrivalStream: the
+/// same run, bit for bit, except that peak_tracked reads 0.
 /// Throws std::runtime_error on policy stalls (every live job left
 /// unallocated with no pending event), when the explicit event cap is hit,
 /// or when the progress watchdog trips.
 [[nodiscard]] SimResult simulate(const Instance& instance, Policy& policy,
                                  const EngineConfig& config = {});
 
-/// Streaming run: jobs arrive from `arrivals` over the platform and outage
-/// calendar of `base`, whose own job list must be empty. Completed jobs
-/// retire (their per-job state is recycled) so memory is O(peak_live), not
-/// O(total jobs), once record_schedule / record_completions are off. With
-/// admission disabled the run is bit-identical to simulate() over the
-/// materialized instance (tests/test_streaming.cpp pins this).
+/// Runs `policy` over jobs arriving from `arrivals`, on the platform and
+/// outage calendar of `base`, whose own job list must be empty (throws
+/// std::invalid_argument otherwise). Completed jobs retire (their per-job
+/// state is recycled), so memory is O(peak_live), not O(total jobs), once
+/// record_schedule / record_completions / record_admission are off. Over an
+/// InstanceArrivalStream the run matches simulate() on that instance
+/// (tests/test_streaming.cpp pins both against recorded digests).
 [[nodiscard]] SimResult simulate_stream(const Instance& base,
                                         ArrivalStream& arrivals,
                                         Policy& policy,

@@ -36,6 +36,11 @@ namespace ecs {
 /// Directive target sentinel: keep the job where it is, progress intact.
 inline constexpr int kTargetKeep = -3;
 
+/// The job a directive names must be one the engine has released: an id
+/// that is negative or above every released id throws, naming the policy
+/// and the id. Ids below that bound that name no live job (a completed,
+/// rejected or shed job) are ignored, so a policy may keep emitting for a
+/// job in the round its completion event arrives.
 struct Directive {
   JobId job = -1;
   int target = kTargetKeep;  ///< kAllocEdge, cloud index, or kTargetKeep
@@ -49,31 +54,31 @@ struct Directive {
 
 /// Read-only view of the simulation passed to policies.
 ///
-/// The view holds the engine's SoA StatePool: fields(id) gathers the
-/// policy-facing fields of a job straight from the dense component arrays,
-/// and live_jobs() is the engine's sorted live list.
-///
-/// In the engine's streaming mode (simulate_stream) completed jobs retire
-/// and their state slots are recycled, so a job id is no longer a slot
-/// index. slot(id) performs the translation; it is the identity when the
-/// view was built without an id map (materialized runs and hand-made test
-/// views), so policies written against slot() behave identically in both
-/// modes. Per-job policy workspaces must be keyed by slot(id), never by id,
-/// to stay O(live) under streaming.
+/// The view holds the engine's SoA StatePool, the sorted live list and the
+/// engine's id -> slot map. live_jobs() are the live ids ascending and
+/// live_slots() their state slots, position for position, so a policy that
+/// walks the live set reads fields_at_slot(live_slots()[i]) without
+/// resolving an id. Completed jobs retire and their state slots are
+/// recycled, so a job id is never a slot index: slot(id) resolves one
+/// through the map. Per-job policy workspaces must be keyed by slot, never
+/// by id, to stay O(live).
 class SimView {
  public:
-  /// `live_sorted` is the list of released, unfinished job ids sorted
-  /// ascending; the view aliases it. `id_map` (streaming engine only)
-  /// translates a job id to its state slot; ids absent from the map are
-  /// retired/rejected and have no state.
+  /// `live_jobs` lists the released, unfinished job ids ascending and
+  /// `live_slots` their state slots in the same order; the view aliases
+  /// both. `id_map` translates a job id to its state slot; ids absent from
+  /// it are retired, rejected or not yet released and have no state.
   SimView(const Instance& instance, const soa::StatePool& pool, Time now,
-          std::span<const JobId> live_sorted,
-          const soa::IdMap* id_map = nullptr)
+          std::span<const JobId> live_jobs,
+          std::span<const std::int32_t> live_slots, const soa::IdMap& id_map)
       : instance_(&instance),
         pool_(&pool),
-        live_sorted_(live_sorted),
-        id_map_(id_map),
-        now_(now) {}
+        live_jobs_(live_jobs),
+        live_slots_(live_slots),
+        id_map_(&id_map),
+        now_(now) {
+    assert(live_jobs.size() == live_slots.size());
+  }
 
   [[nodiscard]] const Instance& instance() const noexcept {
     return *instance_;
@@ -88,11 +93,10 @@ class SimView {
     return pool_->size();
   }
 
-  /// State slot of `id`. Identity without an id map; negative when the job
-  /// is retired, rejected or unknown (streaming). Always >= 0 for live ids
-  /// and for the jobs of the current event batch.
+  /// State slot of `id`; negative when the job is retired, rejected or
+  /// unknown. Always >= 0 for live ids and for the jobs of the current
+  /// event batch.
   [[nodiscard]] std::int32_t slot(JobId id) const noexcept {
-    if (id_map_ == nullptr) return static_cast<std::int32_t>(id);
     return id_map_->find(id);
   }
 
@@ -111,17 +115,23 @@ class SimView {
   }
 
   /// Ids of released, unfinished jobs, ascending. Non-owning: the span
-  /// aliases the engine's sorted live index (no copy — this sits on every
+  /// aliases the engine's sorted live list (no copy — this sits on every
   /// policy's hot path) and is valid only while the view is.
   [[nodiscard]] std::span<const JobId> live_jobs() const noexcept {
-    return live_sorted_;
+    return live_jobs_;
+  }
+
+  /// The state slots of live_jobs(), position for position.
+  [[nodiscard]] std::span<const std::int32_t> live_slots() const noexcept {
+    return live_slots_;
   }
 
  private:
   const Instance* instance_;
   const soa::StatePool* pool_;
-  std::span<const JobId> live_sorted_;
-  const soa::IdMap* id_map_ = nullptr;  ///< streaming id -> slot map
+  std::span<const JobId> live_jobs_;
+  std::span<const std::int32_t> live_slots_;
+  const soa::IdMap* id_map_;
   Time now_;
 };
 

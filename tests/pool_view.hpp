@@ -2,8 +2,9 @@
 //
 // PoolView fills a StatePool with one slot per job of an instance (slot =
 // id), every job released and unassigned with its full work remaining, and
-// keeps the ascending live list beside it: the same backing the engine
-// hands a policy. Edit per-job state through pool() before taking view().
+// keeps the ascending live list, its slots and the id -> slot map beside
+// it: the same backing the engine hands a policy. Edit per-job state
+// through pool() before taking view().
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,7 @@ class PoolView {
   explicit PoolView(const Instance& instance, Time now = 0.0)
       : instance_(&instance), now_(now) {
     pool_.reset(instance.jobs.size());
+    id_map_.clear();
     for (const Job& job : instance.jobs) {
       const auto s = static_cast<std::int32_t>(job.id);
       pool_.job(s) = job;
@@ -27,6 +29,8 @@ class PoolView {
       pool_.rem_work(s) = job.work;
       pool_.released(s) = 1;
       live_.push_back(job.id);
+      slots_.push_back(s);
+      id_map_.insert(job.id, s);
     }
   }
 
@@ -35,7 +39,7 @@ class PoolView {
   /// A view of the round; valid while this PoolView is neither moved nor
   /// destroyed.
   [[nodiscard]] SimView view() const {
-    return SimView(*instance_, pool_, now_, live_);
+    return SimView(*instance_, pool_, now_, live_, slots_, id_map_);
   }
 
  private:
@@ -43,6 +47,8 @@ class PoolView {
   Time now_;
   soa::StatePool pool_;
   std::vector<JobId> live_;
+  std::vector<std::int32_t> slots_;
+  soa::IdMap id_map_;
 };
 
 }  // namespace ecs
