@@ -317,6 +317,48 @@ TEST(Admission, OnlineWatchdogStaysGreenWithRejections) {
   }();
 }
 
+std::span<const DigestRow> shed_digests();
+
+class SheddingDigests
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
+
+TEST_P(SheddingDigests, RunMatchesRecordedDigest) {
+  // A shed job's slot is recycled within the same batch, so the arrival
+  // that takes it reaches decide() in a slot whose previous occupant the
+  // policy saw live in the previous round: policies that key workspaces by
+  // slot must tell the two jobs apart.
+  const auto& [rule, policy_name] = GetParam();
+  AdmissionConfig admission;
+  if (rule == "hopeless") {
+    admission.max_live = 8;
+    admission.rule = AdmissionRule::kRejectHopeless;
+  } else {
+    admission.rule = AdmissionRule::kShedInfeasible;
+    admission.stretch_limit = 3.0;
+  }
+  const Instance instance = overload_instance();
+  const Variant v =
+      run_streaming(instance, policy_name, FaultPlan{}, admission);
+  EXPECT_GT(v.result.stats.sheds, 0u);
+  std::string cell = rule + "_" + policy_name;
+  std::replace(cell.begin(), cell.end(), '-', '_');
+  expect_recorded_digest(shed_digests(), cell,
+                         world_digest(instance, FaultPlan{}),
+                         run_digest(v.result, v.trace));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RulesByPolicies, SheddingDigests,
+    ::testing::Combine(::testing::Values("hopeless", "infeasible"),
+                       ::testing::Values("edge-only", "greedy", "srpt",
+                                         "ssf-edf", "fcfs")),
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param) + "_" +
+                         std::get<1>(param_info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
 // ------------------------------------------------- directive-id contract
 //
 // One rule for both front doors (see Directive): a negative id, or one above
@@ -611,6 +653,25 @@ std::span<const StreamDigestRow> streaming_digests() {
        0x32d461a23f92d6d4},
       {"failover_srpt_seed3", 0x1f323cb346f18663, 0x2964b42a7570968d,
        0xaf7c8cd55d2bd653},
+  };
+  return kRows;
+}
+
+// Recorded run digests, one row per SheddingDigests cell:
+// {rule_policy, world digest, simulate_stream() run digest}.
+
+std::span<const DigestRow> shed_digests() {
+  static constexpr DigestRow kRows[] = {
+      {"hopeless_edge_only", 0x1873e8fecc278c45, 0x2aa56705c27fe48e},
+      {"hopeless_greedy", 0x1873e8fecc278c45, 0x68d531b751689b5d},
+      {"hopeless_srpt", 0x1873e8fecc278c45, 0xcf92fbb480f9f7dc},
+      {"hopeless_ssf_edf", 0x1873e8fecc278c45, 0x21c059d39b600720},
+      {"hopeless_fcfs", 0x1873e8fecc278c45, 0xa13a59e7beb23d45},
+      {"infeasible_edge_only", 0x1873e8fecc278c45, 0x996789f4b34fd3e7},
+      {"infeasible_greedy", 0x1873e8fecc278c45, 0x89a4faab55125493},
+      {"infeasible_srpt", 0x1873e8fecc278c45, 0x5f57792cba706b8c},
+      {"infeasible_ssf_edf", 0x1873e8fecc278c45, 0x94f2f9e10403ce32},
+      {"infeasible_fcfs", 0x1873e8fecc278c45, 0x71f8e0baf67b7a52},
   };
   return kRows;
 }
