@@ -11,6 +11,11 @@
 //    workspace reuse (zero steady-state allocation), the O(live) span
 //    iteration and — for SSF-EDF — the warm-started stretch search.
 //
+//  * policy_decide/ssf_edf_steady/<live> — SSF-EDF between releases: one
+//    release round sets the deadlines, then every timed call carries a
+//    completion event and no release, so decide() re-sorts its kept EDF
+//    order and runs the list assignment without a stretch search.
+//
 //  * policy_decide/{greedy,srpt}_ties/<live> — the same round with every
 //    job duplicated (equal origin, release and amounts). Twins tie within
 //    kDecisionMargin, so the value-ordered index cannot settle their picks
@@ -80,6 +85,8 @@ struct DirectScenario {
     for (const ecs::Job& job : instance.jobs) now = std::max(now, job.release);
     events.push_back(
         ecs::Event{ecs::EventKind::kRelease, instance.jobs.back().id, now, -1});
+    completion.push_back(ecs::Event{ecs::EventKind::kComputeDone,
+                                    instance.jobs.front().id, now, -1});
     round.emplace(instance, now);
   }
   DirectScenario(const DirectScenario&) = delete;  // the round points into it
@@ -87,20 +94,26 @@ struct DirectScenario {
 
   ecs::Instance instance;
   std::vector<ecs::Event> events;
+  std::vector<ecs::Event> completion;  ///< a batch without a release
   std::optional<ecs::PoolView> round;  ///< built last: it points at `instance`
 };
 
+/// With `steady`, one untimed release round primes the policy and every
+/// timed call gets the completion batch instead.
 void policy_decide(benchmark::State& state, const char* policy_name,
-                   bool use_ref, int copies = 1) {
+                   bool use_ref, int copies = 1, bool steady = false) {
   const DirectScenario scenario(static_cast<int>(state.range(0)), copies);
   const ecs::SimView view = scenario.round->view();
   const auto policy = make_any_policy(policy_name, use_ref);
   policy->reset(scenario.instance);
 
   std::vector<ecs::Directive> out;
+  if (steady) policy->decide(view, scenario.events, out);
+  const std::vector<ecs::Event>& events =
+      steady ? scenario.completion : scenario.events;
   for (auto _ : state) {
     out.clear();
-    policy->decide(view, scenario.events, out);
+    policy->decide(view, events, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
@@ -163,6 +176,8 @@ ECS_POLICY_DECIDE_BENCH(failover_srpt, "failover-srpt");
 
 #undef ECS_POLICY_DECIDE_BENCH
 
+BENCHMARK_CAPTURE(policy_decide, ssf_edf_steady, "ssf-edf", false, 1, true)
+    ->Arg(64)->Arg(256);
 BENCHMARK_CAPTURE(policy_decide, greedy_ties, "greedy", false, 2)
     ->Arg(64)->Arg(256);
 BENCHMARK_CAPTURE(policy_decide, srpt_ties, "srpt", false, 2)

@@ -1,6 +1,7 @@
 #include "sched/common.hpp"
 
 #include <bit>
+#include <span>
 
 namespace ecs {
 
@@ -47,11 +48,74 @@ std::vector<Directive> list_assign_directives(
   return directives;
 }
 
-void sort_ordered(std::vector<OrderedJob>& order) {
-  std::sort(order.begin(), order.end(),
-            [](const OrderedJob& a, const OrderedJob& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
-            });
+namespace {
+
+/// sort_ordered's move budget, per entry, before it hands over to
+/// std::sort.
+constexpr std::size_t kSortMovesPerEntry = 8;
+
+}  // namespace
+
+std::size_t sort_ordered(std::vector<OrderedJob>& order) {
+  const auto less = [](const OrderedJob& a, const OrderedJob& b) {
+    return a.key != b.key ? a.key < b.key : a.id < b.id;
+  };
+  const std::size_t n = order.size();
+  std::size_t first = n;  // first position an insertion moved
+  std::size_t budget = kSortMovesPerEntry * n;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (!less(order[i], order[i - 1])) continue;
+    const OrderedJob entry = order[i];
+    std::size_t j = i;
+    do {
+      order[j] = order[j - 1];
+      --j;
+    } while (j > 0 && less(entry, order[j - 1]));
+    order[j] = entry;
+    first = std::min(first, j);
+    if (i - j <= budget) {
+      budget -= i - j;
+      continue;
+    }
+    // Over budget: std::sort the rest. The positions before `first` still
+    // hold the input's entries, sorted; those below the smallest entry
+    // from `first` on keep their places, and that entry lands right after
+    // them, so the first change is there.
+    const auto unmoved = order.begin() + static_cast<std::ptrdiff_t>(first);
+    const OrderedJob smallest = *std::min_element(unmoved, order.end(), less);
+    const auto settled = std::partition_point(
+        order.begin(), unmoved,
+        [&](const OrderedJob& e) { return less(e, smallest); });
+    std::sort(settled, order.end(), less);
+    return static_cast<std::size_t>(settled - order.begin());
+  }
+  return first;
+}
+
+void LiveOrder::carry(const SimView& view) {
+  constexpr JobId kNoJob = -1;
+  constexpr JobId kCarried = -2;  // the slot's job already has its entry
+  if (live_id_.size() < view.state_count()) {
+    live_id_.resize(view.state_count(), kNoJob);
+  }
+  const std::span<const JobId> live = view.live_jobs();
+  const std::span<const std::int32_t> slots = view.live_slots();
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    live_id_[static_cast<std::size_t>(slots[i])] = live[i];
+  }
+  std::size_t kept = 0;
+  for (const OrderedJob& e : order_) {
+    JobId& occupant = live_id_[static_cast<std::size_t>(e.pos)];
+    if (occupant != e.id) continue;
+    occupant = kCarried;
+    order_[kept++] = e;
+  }
+  order_.resize(kept);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    JobId& occupant = live_id_[static_cast<std::size_t>(slots[i])];
+    if (occupant != kCarried) order_.emplace_back(live[i], 0.0, slots[i]);
+    occupant = kNoJob;
+  }
 }
 
 void PickSet::snapshot(const SimView& view) {

@@ -30,8 +30,38 @@ struct OrderedJob {
 };
 
 /// Sorts by (key, id) — the canonical tie-break every ordered pass uses,
-/// so decide() and feasibility probes can never disagree on ordering.
-void sort_ordered(std::vector<OrderedJob>& order);
+/// so decide() and feasibility probes can never disagree on ordering —
+/// and returns the first position whose entry changed (order.size() when
+/// none did). The only OrderedJob sort: an insertion sort from the order it
+/// is given, so a caller that keeps its order across calls pays about one
+/// compare per entry when little moved. Past 8 moves per entry it finishes
+/// with std::sort. (key, id) is a strict total order, so the result equals
+/// std::sort's bit for bit from any starting order.
+std::size_t sort_ordered(std::vector<OrderedJob>& order);
+
+/// The live jobs in the order their policy last sorted them, kept across
+/// decide() calls so that sort_ordered starts from a nearly sorted order.
+/// Each entry's `pos` is the job's state slot.
+class LiveOrder {
+ public:
+  /// Brings the order to the view's live set: drops every entry whose
+  /// (slot, id) is no longer live and appends the live jobs it lacks (key
+  /// 0, in id order). The id check matters: a shedding admission rule
+  /// recycles a shed job's slot within one batch, so a slot can change
+  /// occupant between two calls.
+  void carry(const SimView& view);
+
+  void clear() noexcept {
+    order_.clear();
+    live_id_.clear();
+  }
+
+  [[nodiscard]] std::vector<OrderedJob>& entries() noexcept { return order_; }
+
+ private:
+  std::vector<OrderedJob> order_;
+  std::vector<JobId> live_id_;  ///< per state slot; -1 between calls
+};
 
 /// Fastest cloud still marked free in `cloud_free`, preferring clouds
 /// available right now; clouds inside an availability outage serve only as

@@ -5,7 +5,7 @@
 namespace ecs {
 
 void EdgeOnlyPolicy::reset(const Instance& instance) {
-  deadlines_.assign(instance.jobs.size(), kTimeInfinity);
+  deadlines_.clear();  // decide() grows it with the slot table
   entries_.clear();
   touched_.assign(
       static_cast<std::size_t>(instance.platform.edge_count()), 0);

@@ -1,7 +1,5 @@
 #include "sched/fcfs.hpp"
 
-#include <algorithm>
-
 namespace ecs {
 
 void FcfsPolicy::reset(const Instance& instance) {
@@ -14,17 +12,20 @@ void FcfsPolicy::decide(const SimView& view, const std::vector<Event>& events,
                         std::vector<Directive>& out) {
   (void)events;
 
-  fields_.clear();
-  order_.clear();
-  for (const std::int32_t slot : view.live_slots()) {
-    const auto pos = static_cast<std::int32_t>(fields_.size());
-    fields_.push_back(view.fields_at_slot(slot));
-    order_.emplace_back(fields_.back().job->id, fields_.back().job->release,
-                        pos);
+  if (fields_.size() < view.state_count()) {
+    fields_.resize(view.state_count());
   }
-  sort_ordered(order_);
+  for (const std::int32_t slot : view.live_slots()) {
+    fields_[static_cast<std::size_t>(slot)] = view.fields_at_slot(slot);
+  }
+  order_.carry(view);
+  std::vector<OrderedJob>& order = order_.entries();
+  for (OrderedJob& e : order) {
+    e.key = fields_[static_cast<std::size_t>(e.pos)].job->release;
+  }
+  sort_ordered(order);
   if (!clock_.bound()) clock_.bind(view.instance(), view.now());
-  list_assign_directives(view, order_, fields_, clock_, out,
+  list_assign_directives(view, order, fields_, clock_, out,
                          ReasonCode::kFcfsArrivalOrder,
                          ReasonCode::kFcfsArrivalOrder);
 }

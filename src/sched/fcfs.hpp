@@ -22,8 +22,9 @@ class FcfsPolicy final : public Policy {
 
  private:
   // Workspace, reused across decide() calls (zero steady-state allocation).
-  std::vector<JobFields> fields_;  ///< live jobs' fields, gathered once
-  std::vector<OrderedJob> order_;
+  std::vector<JobFields> fields_;  ///< per state slot; live ones gathered
+                                   ///< once per decide()
+  LiveOrder order_;  ///< by release; only new jobs move between calls
   ResourceClock clock_;
 };
 

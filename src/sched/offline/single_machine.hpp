@@ -5,11 +5,11 @@
 // on the target stretch S: give each job the deadline r_i + S * denom_i and
 // test feasibility with preemptive EDF, which is optimal on one machine.
 // This module implements that algorithm exactly (up to the binary-search
-// precision); it is used
-//   * as the reference the Edge-Only heuristic is tested against,
-//   * as an optimality oracle in unit tests (where it cross-checks the
-//     brute-force solver),
-//   * to compute per-edge lower bounds in the experiment reports.
+// precision). Its callers:
+//   * bench/bench_competitive_ratio.cpp divides Edge-Only's online max
+//     stretch on a one-edge, cloudless platform by this offline optimum;
+//   * tests/test_offline.cpp checks it against SPT's closed form (no
+//     release dates) and hand-solved instances.
 #pragma once
 
 #include <span>

@@ -6,40 +6,60 @@
 
 namespace ecs {
 
+namespace {
+
+/// Job `s`'s deadline under target stretch S. Probes and the lock-in both
+/// key through here, so a verified stretch gives the deadlines its probe
+/// tested, bit for bit.
+inline double deadline(const JobFields& s, double stretch) {
+  return s.job->release + stretch * s.best_time;
+}
+
+}  // namespace
+
 void SsfEdfPolicy::reset(const Instance& instance) {
-  deadlines_.assign(instance.jobs.size(), kTimeInfinity);
+  deadlines_.clear();
   last_target_stretch_ = 0.0;
   clock_.bind(instance, 0.0);
   fields_.clear();
-  entries_.clear();
-  kept_.clear();
   order_.clear();
+  steps_.clear();
+  walked_ = 0;
 }
 
 bool SsfEdfPolicy::feasible(const SimView& view, double stretch) {
   const Platform& platform = view.platform();
+  std::vector<OrderedJob>& order = order_.entries();
+  const auto fields = [&](const OrderedJob& e) -> const JobFields& {
+    return fields_[static_cast<std::size_t>(e.pos)];
+  };
 
   // Deadlines for this candidate stretch. The EDF order depends on the
-  // candidate (denominators differ between jobs), so the entries are
-  // re-keyed and re-sorted for every probe — with the same (key, id)
-  // tie-break as decide().
-  entries_.clear();
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    const JobFields& s = fields_[i];
-    entries_.emplace_back(s.job->id, s.job->release + stretch * s.best_time,
-                          static_cast<std::int32_t>(i));
+  // candidate (denominators differ between jobs), so the previous probe's
+  // order is re-keyed in place and re-sorted, with the same (key, id)
+  // tie-break as decide(). Late bisection steps barely move it.
+  for (OrderedJob& e : order) e.key = deadline(fields(e), stretch);
+  // A position's projection depends on the jobs before it, not on S: the
+  // positions the last probe walked before the first one the sort changed
+  // project exactly as recorded.
+  const std::size_t shared = std::min(sort_ordered(order), walked_);
+  walked_ = shared;
+  for (std::size_t i = 0; i < shared; ++i) {
+    if (time_gt(steps_[i].done, order[i].key)) return false;
   }
-  sort_ordered(entries_);
-
   clock_.reset(view.now());
-  for (const OrderedJob& e : entries_) {
-    const JobFields& s = fields_[static_cast<std::size_t>(e.pos)];
+  for (std::size_t i = 0; i < shared; ++i) {
+    clock_.commit(platform, fields(order[i]), steps_[i].target);
+  }
+  for (std::size_t i = shared; i < order.size(); ++i) {
+    const JobFields& s = fields(order[i]);
     const auto [target, done] = clock_.best_target_sticky(platform, s);
     clock_.commit(platform, s, target);
+    steps_[i] = Step{target, done};
+    walked_ = i + 1;
     // Short-circuit: one missed deadline sinks the candidate.
-    if (time_gt(done, e.key)) return false;
+    if (time_gt(done, order[i].key)) return false;
   }
-  entries_.swap(kept_);
   kept_stretch_ = stretch;
   return true;
 }
@@ -47,20 +67,21 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch) {
 void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   const Platform& platform = view.platform();
   const Time now = view.now();
-  // Track the engine's slot table (it only ever grows within a run).
-  if (deadlines_.size() < view.state_count()) {
-    deadlines_.resize(view.state_count(), kTimeInfinity);
-  }
-  if (fields_.empty()) return;
+  if (view.live_slots().empty()) return;
 
   // Lower bound: no schedule can beat each job's individually best
   // achievable stretch from the current state (and 1.0 overall).
   double lo = 1.0;
-  for (const JobFields& s : fields_) {
+  for (const std::int32_t slot : view.live_slots()) {
+    const JobFields& s = fields_[static_cast<std::size_t>(slot)];
     const Time best_done = best_uncontended_completion(platform, s, now);
     lo = std::max(lo, (best_done - s.job->release) / s.best_time);
   }
 
+  // The probe record holds projections from this call's state: it starts
+  // empty for every search.
+  steps_.resize(order_.entries().size());
+  walked_ = 0;
   // Warm start: consecutive releases see mostly the same live set, so the
   // previous round's target stretch predicts this round's feasibility rung
   // almost exactly; min_feasible_stretch_warm verifies the prediction and
@@ -72,8 +93,7 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
       [&](double s) { return feasible(view, s); });
 
   // Locking in the deadlines. Probes are deterministic within one call, so
-  // a stretch the search already verified need not be probed again: its
-  // entries are the ones kept.
+  // a stretch the search already verified need not be probed again.
   const auto verified = [&](double s) {
     return kept_stretch_ == s || feasible(view, s);
   };
@@ -90,9 +110,9 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   // Keyed by state slot, not id: slots recycle across retired jobs,
   // keeping this buffer O(live), and a slot's occupant can only change at
   // a release event — which recomputes every live deadline anyway.
-  for (const OrderedJob& e : kept_) {
-    deadlines_[static_cast<std::size_t>(
-        view.live_slots()[static_cast<std::size_t>(e.pos)])] = e.key;
+  for (const std::int32_t slot : view.live_slots()) {
+    const auto s = static_cast<std::size_t>(slot);
+    deadlines_[s] = deadline(fields_[s], last_target_stretch_);
   }
 }
 
@@ -100,13 +120,17 @@ void SsfEdfPolicy::decide(const SimView& view,
                           const std::vector<Event>& events,
                           std::vector<Directive>& out) {
   if (!clock_.bound()) clock_.bind(view.instance(), view.now());
-  // One gather per decision: the lower bound, every probe, the deadline
-  // write and the list assignment index fields_, whose entry i is the job
-  // in live_slots()[i].
-  fields_.clear();
-  for (const std::int32_t slot : view.live_slots()) {
-    fields_.push_back(view.fields_at_slot(slot));
+  // Track the engine's slot table (it only ever grows within a run).
+  if (deadlines_.size() < view.state_count()) {
+    deadlines_.resize(view.state_count(), kTimeInfinity);
+    fields_.resize(view.state_count());
   }
+  // One gather per decision: the lower bound, every probe, the deadline
+  // write and the list assignment read fields_ by state slot.
+  for (const std::int32_t slot : view.live_slots()) {
+    fields_[static_cast<std::size_t>(slot)] = view.fields_at_slot(slot);
+  }
+  order_.carry(view);
   if (contains_release(events)) {
     recompute_deadlines(view);
   }
@@ -114,18 +138,16 @@ void SsfEdfPolicy::decide(const SimView& view,
   // EDF placement with the stored deadlines: walk live jobs by deadline,
   // put each on the processor where the projection completes it earliest.
   // Only jobs that actually start now are (re)allocated — see
-  // list_assign_directives.
-  order_.clear();
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    order_.emplace_back(
-        fields_[i].job->id,
-        deadlines_[static_cast<std::size_t>(view.live_slots()[i])],
-        static_cast<std::int32_t>(i));
+  // list_assign_directives. Between releases the deadlines do not change,
+  // so the kept order is already sorted.
+  std::vector<OrderedJob>& order = order_.entries();
+  for (OrderedJob& e : order) {
+    e.key = deadlines_[static_cast<std::size_t>(e.pos)];
   }
-  sort_ordered(order_);
+  sort_ordered(order);
   // A cloud placement means the edge projection could not hold the
   // deadline-driven target stretch — the paper's delegation criterion.
-  list_assign_directives(view, order_, fields_, clock_, out,
+  list_assign_directives(view, order, fields_, clock_, out,
                          ReasonCode::kDeadlineFeasibleLocal,
                          ReasonCode::kDeadlineInfeasibleOnEdge);
 }

@@ -18,8 +18,14 @@
 // At every event (release or completion) the job with the smallest deadline
 // is assigned to the processor where it completes the earliest, then the
 // next job, and so on; priorities handed to the engine are the EDF ranks.
+//
+// Probes and the assignment share one EDF order (DESIGN.md §6). It survives
+// decide(), keyed by state slot; each pass re-keys it in place and re-sorts
+// it from where the last pass left it, and a probe projects only the
+// positions after the prefix it shares with the previous probe.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -58,10 +64,19 @@ class SsfEdfPolicy final : public Policy {
   }
 
  private:
-  /// Tests whether target stretch S is achievable from the current state,
-  /// over the jobs gathered in fields_. On success the probe's EDF entries
-  /// (deadline = key) are kept in kept_ and S in kept_stretch_. Non-const:
-  /// it reuses the entry buffers and the projection clock.
+  /// One position of a probe's walk: the target it committed and its
+  /// projected completion.
+  struct Step {
+    int target;
+    Time done;
+  };
+
+  /// Tests whether target stretch S is achievable from the current state:
+  /// re-keys order_ by S's deadlines, re-sorts it and walks it through the
+  /// list projection. Positions the previous probe of this search walked
+  /// and that kept their job are not projected again (see DESIGN.md §6);
+  /// on success S is kept in kept_stretch_. Non-const: it reuses order_,
+  /// the probe record and the projection clock.
   [[nodiscard]] bool feasible(const SimView& view, double stretch);
 
   void recompute_deadlines(const SimView& view);
@@ -71,11 +86,16 @@ class SsfEdfPolicy final : public Policy {
   double last_target_stretch_ = 0.0;
   // Workspace, reused across decide() calls and feasibility probes (zero
   // steady-state allocation; see DESIGN.md §6).
-  std::vector<JobFields> fields_;      ///< live jobs' fields, gathered once
-  std::vector<OrderedJob> entries_;    ///< the running probe's EDF entries
-  std::vector<OrderedJob> kept_;       ///< last successful probe's entries
-  double kept_stretch_ = 0.0;          ///< its stretch; NaN: none this call
-  std::vector<OrderedJob> order_;      ///< decide()'s EDF order
+  std::vector<JobFields> fields_;  ///< per state slot; live ones gathered
+                                   ///< once per decide()
+  /// The EDF order. Probes and the list assignment re-key it in place and
+  /// re-sort it from where the last one left it.
+  LiveOrder order_;
+  /// The probe record: steps_[i] is position i of the last probe of the
+  /// running search, for i < walked_. Valid within one search only.
+  std::vector<Step> steps_;
+  std::size_t walked_ = 0;
+  double kept_stretch_ = 0.0;  ///< last verified stretch; NaN: none this search
   ResourceClock clock_;  ///< probe + assignment projections (sequential)
 };
 

@@ -1,12 +1,18 @@
 // Tests for the shared policy helpers (sched/common.hpp): sticky target
 // selection (ResourceClock::best_target_sticky, which the list assignment
-// uses) and the immediate-start list assignment.
+// uses), the immediate-start list assignment and the (key, id) sort.
 #include "sched/common.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 #include "pool_view.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace ecs {
 namespace {
@@ -108,6 +114,130 @@ TEST(ListAssign, OnlyImmediateStartersGetExplicitTargets) {
   // Priorities follow the key order.
   EXPECT_LT(directives[0].priority, directives[1].priority);
   EXPECT_LT(directives[1].priority, directives[2].priority);
+}
+
+bool same_entry(const OrderedJob& a, const OrderedJob& b) {
+  return a.id == b.id && a.pos == b.pos && a.key == b.key;
+}
+
+/// sort_ordered must leave exactly std::sort's (key, id) order and return
+/// the length of the prefix its input and output share.
+void expect_sorts_like_std_sort(const std::vector<OrderedJob>& input) {
+  std::vector<OrderedJob> expected = input;
+  std::sort(expected.begin(), expected.end(),
+            [](const OrderedJob& a, const OrderedJob& b) {
+              return a.key != b.key ? a.key < b.key : a.id < b.id;
+            });
+  std::vector<OrderedJob> actual = input;
+  const std::size_t changed = sort_ordered(actual);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_TRUE(same_entry(actual[i], expected[i])) << "position " << i;
+  }
+  std::size_t shared = 0;
+  while (shared < input.size() && same_entry(input[shared], expected[shared])) {
+    ++shared;
+  }
+  EXPECT_EQ(changed, shared);
+}
+
+/// `n` entries with ids 0..n-1 and keys `key(i)`; pos records the entry.
+template <typename KeyFn>
+std::vector<OrderedJob> entries(std::size_t n, KeyFn key) {
+  std::vector<OrderedJob> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.emplace_back(static_cast<JobId>(i), key(i),
+                     static_cast<std::int32_t>(i));
+  }
+  return out;
+}
+
+/// Fisher-Yates with the repository's seeded generator.
+void shuffle(std::vector<OrderedJob>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(v[i - 1], v[j]);
+  }
+}
+
+TEST(SortOrdered, EmptyAndSingleEntry) {
+  expect_sorts_like_std_sort({});
+  expect_sorts_like_std_sort({{7, 1.5, 0}});
+}
+
+TEST(SortOrdered, RandomInputs) {
+  Rng rng(11);
+  for (const std::size_t n : {2U, 5U, 17U, 64U, 300U}) {
+    SCOPED_TRACE(n);
+    std::vector<OrderedJob> v =
+        entries(n, [&](std::size_t) { return rng.uniform(0.0, 10.0); });
+    shuffle(v, rng);
+    expect_sorts_like_std_sort(v);
+  }
+}
+
+TEST(SortOrdered, SortedInputIsUnchanged) {
+  const std::vector<OrderedJob> v =
+      entries(100, [](std::size_t i) { return 0.5 * static_cast<double>(i); });
+  std::vector<OrderedJob> copy = v;
+  EXPECT_EQ(sort_ordered(copy), v.size());
+  expect_sorts_like_std_sort(v);
+}
+
+TEST(SortOrdered, ReversedInput) {
+  // 10 entries need 45 moves, inside the budget; 200 need far more.
+  for (const std::size_t n : {10U, 200U}) {
+    SCOPED_TRACE(n);
+    std::vector<OrderedJob> v =
+        entries(n, [](std::size_t i) { return static_cast<double>(i); });
+    std::reverse(v.begin(), v.end());
+    expect_sorts_like_std_sort(v);
+  }
+}
+
+TEST(SortOrdered, OneEntryMoved) {
+  const std::vector<OrderedJob> sorted =
+      entries(200, [](std::size_t i) { return static_cast<double>(i); });
+  for (const auto& [from, to] : {std::pair{150, 20}, std::pair{20, 150},
+                                std::pair{199, 0}, std::pair{0, 199}}) {
+    SCOPED_TRACE(testing::Message() << from << " -> " << to);
+    std::vector<OrderedJob> v = sorted;
+    const OrderedJob moved = v[static_cast<std::size_t>(from)];
+    v.erase(v.begin() + from);
+    v.insert(v.begin() + to, moved);
+    expect_sorts_like_std_sort(v);
+  }
+}
+
+TEST(SortOrdered, EqualKeysOrderById) {
+  Rng rng(12);
+  for (const double key : {1.0, kTimeInfinity}) {
+    std::vector<OrderedJob> v = entries(50, [&](std::size_t) { return key; });
+    shuffle(v, rng);
+    expect_sorts_like_std_sort(v);
+  }
+  // Two key values, interleaved ids.
+  std::vector<OrderedJob> v = entries(
+      60, [](std::size_t i) { return i % 2 == 0 ? 2.0 : 1.0; });
+  shuffle(v, rng);
+  expect_sorts_like_std_sort(v);
+}
+
+TEST(SortOrdered, PastTheMoveBudget) {
+  // A sorted head of 50 entries, then 150 in reverse (11 175 moves, over
+  // the budget of 8 per entry): the fallback must still report the head.
+  std::vector<OrderedJob> v =
+      entries(200, [](std::size_t i) { return static_cast<double>(i); });
+  std::reverse(v.begin() + 50, v.end());
+  expect_sorts_like_std_sort(v);
+  // The same with one tail entry that belongs inside the head: only the
+  // head entries below it keep their positions.
+  v.back().key = 25.5;
+  expect_sorts_like_std_sort(v);
+  // And with the smallest entry last: nothing keeps its position.
+  v.back().key = -1.0;
+  expect_sorts_like_std_sort(v);
 }
 
 }  // namespace
