@@ -36,6 +36,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -116,14 +117,26 @@ inline void apply_log_level_argv(int& argc, char** argv) {
   argc = out;
 }
 
+/// Parses the common flags. Throws std::invalid_argument naming the flag
+/// when --reps < 1 or --threads < 0 (a negative count would wrap to a huge
+/// unsigned thread request).
 inline CommonOptions parse_common(const Args& args, int default_reps) {
   CommonOptions options;
-  options.sweep.replications =
-      static_cast<int>(args.get_int("reps", default_reps));
+  const std::int64_t reps = args.get_int("reps", default_reps);
+  if (reps < 1) {
+    throw std::invalid_argument("--reps must be >= 1, got " +
+                                std::to_string(reps));
+  }
+  const std::int64_t threads = args.get_int("threads", 0);
+  if (threads < 0) {
+    throw std::invalid_argument("--threads must be >= 0 (0 = hardware "
+                                "concurrency), got " +
+                                std::to_string(threads));
+  }
+  options.sweep.replications = static_cast<int>(reps);
   options.sweep.base_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
-  options.sweep.threads =
-      static_cast<unsigned>(args.get_int("threads", 0));
+  options.sweep.threads = static_cast<unsigned>(threads);
   options.sweep.validate_first = !args.get_bool("no-validate", false);
   options.csv_path = args.get_or("csv", "");
   options.show_stddev = args.get_bool("stddev", false);

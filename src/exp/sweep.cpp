@@ -5,7 +5,6 @@
 #include "core/validate.hpp"
 #include "sched/factory.hpp"
 #include "sim/batch.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ecs {
@@ -37,8 +36,8 @@ std::uint64_t replication_seed(std::uint64_t base, const std::string& label,
 
 namespace {
 
-/// One outcome slot per (replication, policy); filled concurrently by
-/// whichever driver runs the grid, merged serially so aggregation order is
+/// One outcome slot per (replication, policy) world; filled concurrently
+/// by the batch workers, merged serially so aggregation order is
 /// deterministic regardless of thread interleaving.
 struct RepSlot {
   double max_stretch = 0.0;
@@ -65,55 +64,29 @@ void fill_slot(RepSlot& slot, const ScheduleMetrics& metrics,
   }
 }
 
-/// Legacy task-per-replication driver: each task builds its instance and
-/// runs every policy through run_policy (fresh policy + engine per run).
-void run_point_tasks(const std::string& label, const InstanceFactory& factory,
-                     const std::vector<std::string>& policies,
-                     const SweepOptions& options,
-                     std::vector<RepSlot>& slots) {
-  parallel_for(
-      static_cast<std::size_t>(options.replications),
-      [&](std::size_t rep) {
-        const std::uint64_t seed =
-            sweep_seed(options.base_seed, options.point_index, label,
-                       static_cast<int>(rep));
-        const Instance instance = factory(seed);
-        // Draw the replication's fault plan once, outside the policy loop,
-        // so every policy faces the identical unannounced faults.
-        FaultPlan faults = options.engine.faults;
-        if (options.fault_factory) {
-          faults = options.fault_factory(instance, seed);
-        }
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-          RunOptions run_options;
-          run_options.engine = options.engine;
-          run_options.engine.faults = faults;
-          // Trace sinks are single-run, single-threaded objects, so only
-          // the first replication of the first policy keeps the sink. The
-          // metrics registry is thread-safe and stays shared by every run,
-          // accumulating sweep-wide totals.
-          if (rep != 0 || p != 0) run_options.engine.trace = nullptr;
-          run_options.validate = options.validate_first && rep == 0;
-          const RunOutcome outcome =
-              run_policy(instance, policies[p], run_options);
-          fill_slot(slots[rep * policies.size() + p], outcome.metrics,
-                    outcome.stats, outcome.wall_seconds);
-        }
-      },
-      options.threads);
-}
+}  // namespace
 
-/// Batch driver: each (replication, policy) pair is a world on a resident
-/// engine core (sim/batch.hpp); the instance, the fault plan and the
-/// validation contract per world match run_point_tasks exactly, so the two
-/// drivers produce bit-identical aggregates (wall_seconds aside — it is
-/// wall time; tests/test_exp.cpp pins the equality).
-void run_point_batch(const std::string& label, const InstanceFactory& factory,
-                     const std::vector<std::string>& policies,
-                     const SweepOptions& options,
-                     std::vector<RepSlot>& slots,
-                     obs::ProfileReport* profile_out) {
+SweepPointResult run_sweep_point(const std::string& label,
+                                 const InstanceFactory& factory,
+                                 const std::vector<std::string>& policies,
+                                 const SweepOptions& options) {
+  const int reps = options.replications;
+  if (reps < 1) {
+    throw std::invalid_argument("run_sweep_point: replications must be >= 1, "
+                                "got " + std::to_string(reps));
+  }
+  SweepPointResult result;
+  result.label = label;
+  result.per_policy.resize(policies.size());
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    result.per_policy[p].policy = policies[p];
+  }
+
   const std::size_t n_policies = policies.size();
+  std::vector<RepSlot> slots(static_cast<std::size_t>(reps) * n_policies);
+  // Each (replication, policy) pair is a world on a resident engine core.
+  // Every policy of a replication faces the same instance and fault plan;
+  // replication 0 records and validates its schedule.
   BatchOptions batch_options;
   batch_options.threads = options.threads;
   batch_options.profile = options.profile;
@@ -122,79 +95,53 @@ void run_point_batch(const std::string& label, const InstanceFactory& factory,
       n_policies,
       [&policies](std::size_t p) { return make_policy(policies[p]); },
       batch_options);
+  const auto seed_of = [&](std::size_t rep) {
+    return sweep_seed(options.base_seed, options.point_index, label,
+                      static_cast<int>(rep));
+  };
   batch.run(
-      static_cast<std::size_t>(options.replications) * n_policies,
+      slots.size(),
       [&](std::size_t index, Instance& instance, WorldSetup& setup) {
         const std::size_t rep = index / n_policies;
-        const std::size_t p = index % n_policies;
-        const std::uint64_t seed =
-            sweep_seed(options.base_seed, options.point_index, label,
-                       static_cast<int>(rep));
+        const std::uint64_t seed = seed_of(rep);
         instance = factory(seed);
-        setup.policy = p;
+        setup.policy = index % n_policies;
         setup.config = options.engine;
         if (options.fault_factory) {
           setup.config.faults = options.fault_factory(instance, seed);
         }
+        // Trace sinks are single-run, single-threaded objects, so only the
+        // first world keeps the sink. The metrics registry is thread-safe
+        // and stays shared by every world.
         if (index != 0) setup.config.trace = nullptr;
         setup.config.record_schedule = options.validate_first && rep == 0;
         // The batch driver times whole worlds itself; the per-decision
         // policy timer's clock reads are pure overhead at this scale.
         setup.config.time_policy = false;
       },
-      [&](std::size_t index, const Instance& instance, SimResult& result,
+      [&](std::size_t index, const Instance& instance, SimResult& run,
           double wall_seconds) {
         const std::size_t rep = index / n_policies;
         ScheduleMetrics metrics;
         if (options.validate_first && rep == 0) {
           // Re-derive the world's fault plan for the fault-aware validator
-          // (the factories are deterministic in (instance, seed)), exactly
-          // what the task driver hands run_policy.
+          // (the factories are deterministic in (instance, seed)).
           FaultPlan faults = options.engine.faults;
           if (options.fault_factory) {
-            const std::uint64_t seed =
-                sweep_seed(options.base_seed, options.point_index, label,
-                           static_cast<int>(rep));
-            faults = options.fault_factory(instance, seed);
+            faults = options.fault_factory(instance, seed_of(rep));
           }
-          require_valid_schedule(instance, result.schedule, faults);
-          metrics = compute_metrics(instance, result.schedule);
+          require_valid_schedule(instance, run.schedule, faults);
+          metrics = compute_metrics(instance, run.schedule);
         } else {
-          metrics = metrics_from_completions(instance, result.completions);
+          metrics = metrics_from_completions(instance, run.completions);
         }
-        fill_slot(slots[index], metrics, result.stats, wall_seconds);
+        fill_slot(slots[index], metrics, run.stats, wall_seconds);
       });
-  if (profile_out != nullptr && options.profile) {
-    *profile_out = batch.profile_report();
-  }
-}
-
-}  // namespace
-
-SweepPointResult run_sweep_point(const std::string& label,
-                                 const InstanceFactory& factory,
-                                 const std::vector<std::string>& policies,
-                                 const SweepOptions& options) {
-  SweepPointResult result;
-  result.label = label;
-  result.per_policy.resize(policies.size());
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    result.per_policy[p].policy = policies[p];
-  }
-
-  const int reps = options.replications;
-  std::vector<RepSlot> slots(static_cast<std::size_t>(reps) *
-                             policies.size());
-  if (options.driver == SweepDriver::kTasks) {
-    run_point_tasks(label, factory, policies, options, slots);
-  } else {
-    run_point_batch(label, factory, policies, options, slots,
-                    &result.profile);
-  }
+  if (options.profile) result.profile = batch.profile_report();
 
   for (int rep = 0; rep < reps; ++rep) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const RepSlot& slot = slots[rep * policies.size() + p];
+    for (std::size_t p = 0; p < n_policies; ++p) {
+      const RepSlot& slot = slots[rep * n_policies + p];
       PolicyAggregate& agg = result.per_policy[p];
       agg.max_stretch.add(slot.max_stretch);
       agg.mean_stretch.add(slot.mean_stretch);

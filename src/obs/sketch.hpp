@@ -2,7 +2,7 @@
 //
 // The sweeps need tail quantiles of stretch / flow time / queue depth over
 // hundreds of replications without retaining per-job samples, and the
-// parallel_for workers each see only a slice of the replications — so the
+// BatchEngine workers each see only a slice of the replications — so the
 // summary must be MERGEABLE: merging per-worker sketches must give exactly
 // the sketch a single worker observing everything would hold.
 //

@@ -1,14 +1,17 @@
 #include "sim/batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
 #include "obs/heartbeat.hpp"
 #include "obs/profiler.hpp"
-#include "util/parallel.hpp"
 #include "sim/engine_core.hpp"
 #include "sim/policy.hpp"
+#include "util/parallel.hpp"
 
 namespace ecs {
 
@@ -41,6 +44,23 @@ struct BatchEngine::Worker {
   std::vector<std::unique_ptr<World>> worlds;
 };
 
+/// The state one run() shares across its workers: the claim counter over
+/// the queued worlds and the first failure, which stops them all.
+struct BatchEngine::Queue {
+  std::size_t world_count = 0;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
+  /// Written once, by the worker that raised `stop`; run() reads it only
+  /// after every worker has joined.
+  std::exception_ptr first_error;
+
+  /// Stops every worker and keeps the exception in flight if it is the
+  /// first.
+  void fail() noexcept {
+    if (!stop.exchange(true)) first_error = std::current_exception();
+  }
+};
+
 BatchEngine::BatchEngine(std::size_t policy_count, PolicyFactory factory,
                          BatchOptions options)
     : policy_count_(policy_count),
@@ -66,18 +86,29 @@ void BatchEngine::run(std::size_t world_count, const WorldFn& make_world,
   while (workers_.size() < workers) {
     workers_.push_back(std::make_unique<Worker>());
   }
-  std::atomic<std::size_t> next_world{0};
-  parallel_for(
-      workers,
-      [&](std::size_t w) {
-        run_worker(*workers_[w], world_count, next_world, make_world,
-                   on_result);
-      },
-      static_cast<unsigned>(workers));
+  Queue queue;
+  queue.world_count = world_count;
+  const auto work = [&](std::size_t w) {
+    try {
+      run_worker(*workers_[w], queue, make_world, on_result);
+    } catch (...) {
+      queue.fail();
+    }
+  };
+  // Worker 0 is the calling thread, so one worker starts no thread.
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers - 1);
+  try {
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(work, w);
+  } catch (...) {
+    queue.fail();  // a thread would not start: stop the ones that did
+  }
+  work(0);
+  for (std::thread& t : helpers) t.join();
+  if (queue.first_error) std::rethrow_exception(queue.first_error);
 }
 
-void BatchEngine::run_worker(Worker& worker, std::size_t world_count,
-                             std::atomic<std::size_t>& next_world,
+void BatchEngine::run_worker(Worker& worker, Queue& queue,
                              const WorldFn& make_world,
                              const WorldResultFn& on_result) {
   const std::size_t slots =
@@ -85,7 +116,7 @@ void BatchEngine::run_worker(Worker& worker, std::size_t world_count,
   while (worker.worlds.size() < slots) {
     worker.worlds.push_back(std::make_unique<Worker::World>());
   }
-  // A previous run() that aborted on an exception may have left worlds
+  // A previous run() that stopped on an exception may have left worlds
   // mid-flight; their cores re-prepare from scratch, so just mark idle.
   for (auto& world : worker.worlds) {
     world->policies.resize(policy_count_);
@@ -99,8 +130,8 @@ void BatchEngine::run_worker(Worker& worker, std::size_t world_count,
   const auto launch = [&](Worker::World& world) {
     if (drained) return false;
     const std::size_t index =
-        next_world.fetch_add(1, std::memory_order_relaxed);
-    if (index >= world_count) {
+        queue.next.fetch_add(1, std::memory_order_relaxed);
+    if (index >= queue.world_count) {
       drained = true;
       return false;
     }
@@ -133,6 +164,8 @@ void BatchEngine::run_worker(Worker& worker, std::size_t world_count,
   while (true) {
     bool any_live = false;
     for (std::size_t s = 0; s < slots; ++s) {
+      // After a failure anywhere, claim no world and step no round.
+      if (queue.stop.load(std::memory_order_relaxed)) return;
       Worker::World& world = *worker.worlds[s];
       if (world.index == kIdle && !launch(world)) continue;
       any_live = true;

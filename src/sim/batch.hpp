@@ -5,13 +5,16 @@
 // slots per worker thread; each slot keeps an EngineCore, an Instance
 // buffer and a SimResult buffer alive across runs, so a completed world is
 // recycled for the next queued run with zero steady-state allocations —
-// the cost structure a 1000-replication sweep point wants, where the
-// legacy path constructed an engine, a policy and every internal buffer
-// from scratch per run.
+// the cost structure a 1000-replication sweep point (exp/sweep.hpp) wants.
 //
-// Each worker steps its resident worlds round-robin in bounded chunks of
-// decision rounds (BatchOptions::rounds_per_visit), pulling the next
-// queued world from a shared counter whenever a slot drains. Stepping is
+// run() starts its own workers: worker 0 runs on the calling thread and
+// `threads - 1` std::threads join it, all joined before run() returns (one
+// worker starts no thread). Each worker steps its resident worlds
+// round-robin in bounded chunks of decision rounds
+// (BatchOptions::rounds_per_visit), pulling the next queued world from a
+// shared counter whenever a slot drains. The first failure stops every
+// worker at its next slot visit, so no queued world starts after it and
+// run() rethrows that failure. Stepping is
 // chunked purely for slot recycling and progress interleaving: a world's
 // result depends only on its (instance, policy, config) triple, never on
 // chunk size or scheduling, so a batched run is bit-identical to
@@ -25,7 +28,6 @@
 // (like exp/sweep.cpp does) to stay deterministic.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -108,10 +110,11 @@ class BatchEngine {
 
   /// Runs worlds [0, world_count): every world is built with `make_world`,
   /// simulated to completion and handed to `on_result`. Returns when all
-  /// worlds finished. The first exception thrown by a world (engine error,
-  /// callback validation failure) aborts the batch and is rethrown, like
-  /// parallel_for. Worker state (cores, policy tables, buffers) persists
-  /// across run() calls, so repeated sweep points keep their capacity.
+  /// worlds finished. The first exception (from `make_world`, an engine
+  /// error, or `on_result`) stops every worker before it claims another
+  /// world or steps another round, and is rethrown once all workers have
+  /// joined. Worker state (cores, policy tables, buffers) persists across
+  /// run() calls, so repeated sweep points keep their capacity.
   void run(std::size_t world_count, const WorldFn& make_world,
            const WorldResultFn& on_result);
 
@@ -123,10 +126,10 @@ class BatchEngine {
 
  private:
   struct Worker;
+  struct Queue;
 
-  void run_worker(Worker& worker, std::size_t world_count,
-                  std::atomic<std::size_t>& next_world,
-                  const WorldFn& make_world, const WorldResultFn& on_result);
+  void run_worker(Worker& worker, Queue& queue, const WorldFn& make_world,
+                  const WorldResultFn& on_result);
 
   std::size_t policy_count_;
   PolicyFactory factory_;

@@ -1,178 +1,12 @@
 #include "util/parallel.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 namespace ecs {
 
 unsigned default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
-}
-
-namespace {
-
-/// One parallel_for invocation: the shared claim counter plus the
-/// first-error-wins abort state. Lives on the caller's stack for the
-/// duration of the call.
-struct Task {
-  std::size_t count = 0;
-  const std::function<void(std::size_t)>* body = nullptr;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> abort{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-};
-
-void drain(Task& task) {
-  while (!task.abort.load(std::memory_order_relaxed)) {
-    const std::size_t i = task.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= task.count) return;
-    try {
-      (*task.body)(i);
-    } catch (...) {
-      // First failure wins and aborts the sweep: without the flag a
-      // thrown replication let the remaining thousands run to completion
-      // before the caller ever saw the error.
-      task.abort.store(true, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(task.error_mutex);
-      if (!task.first_error) task.first_error = std::current_exception();
-    }
-  }
-}
-
-/// True on any thread currently inside a parallel_for body (worker or
-/// caller). A nested parallel_for on such a thread runs serially: the
-/// dispatch lock is not re-entrant and the workers are already busy.
-thread_local bool t_inside_parallel = false;
-
-/// Lazily-grown persistent worker pool. Spawning and joining a fresh set
-/// of threads per parallel_for call dominated short sweeps; the pool
-/// amortizes thread creation across the process lifetime. One task runs
-/// at a time (top-level calls from distinct threads serialize on
-/// dispatch_mutex_); within a task the caller participates alongside
-/// `threads - 1` drafted workers.
-class WorkerPool {
- public:
-  static WorkerPool& instance() {
-    static WorkerPool pool;
-    return pool;
-  }
-
-  void run(std::size_t count, const std::function<void(std::size_t)>& body,
-           unsigned threads) {
-    Task task;
-    task.count = count;
-    task.body = &body;
-
-    std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ensure_workers(threads - 1, lock);
-      task_ = &task;
-      seats_ = threads - 1;
-      active_ = seats_;
-      ++generation_;
-      wake_cv_.notify_all();
-    }
-
-    t_inside_parallel = true;
-    drain(task);
-    t_inside_parallel = false;
-
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      done_cv_.wait(lock, [&] { return active_ == 0; });
-      task_ = nullptr;
-    }
-    if (task.first_error) std::rethrow_exception(task.first_error);
-  }
-
- private:
-  WorkerPool() = default;
-
-  ~WorkerPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-      wake_cv_.notify_all();
-    }
-    for (std::thread& t : workers_) t.join();
-  }
-
-  /// Grows the pool so at least `needed` workers exist. Called with
-  /// `lock` held on mutex_.
-  void ensure_workers(std::size_t needed,
-                      const std::unique_lock<std::mutex>& lock) {
-    (void)lock;
-    while (workers_.size() < needed) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  void worker_loop() {
-    t_inside_parallel = true;
-    std::unique_lock<std::mutex> lock(mutex_);
-    // 0 is never a dispatched generation, so a freshly spawned worker —
-    // which may first acquire the lock only AFTER the dispatch that
-    // created it bumped generation_ — still sees that dispatch as new
-    // and claims its seat (initializing from generation_ here would make
-    // it sleep through the task it was spawned for: deadlock).
-    std::uint64_t seen = 0;
-    for (;;) {
-      // A worker joins a task only while an unclaimed seat remains, so a
-      // pool larger than one call's `threads` never over-subscribes it.
-      wake_cv_.wait(lock, [&] {
-        return stop_ || (generation_ != seen && seats_ > 0);
-      });
-      if (stop_) return;
-      seen = generation_;
-      --seats_;
-      Task* task = task_;
-      lock.unlock();
-      drain(*task);
-      lock.lock();
-      if (--active_ == 0) done_cv_.notify_all();
-      // The lock is held from the decrement through the next wait()'s
-      // predicate check, so a dispatch that observes active_ == 0 cannot
-      // slip its generation bump past this worker unseen.
-    }
-  }
-
-  std::mutex dispatch_mutex_;  ///< serializes top-level calls
-
-  std::mutex mutex_;
-  std::condition_variable wake_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;
-  Task* task_ = nullptr;
-  std::uint64_t generation_ = 0;  ///< bumped per dispatched task
-  std::size_t seats_ = 0;         ///< workers still wanted for this task
-  std::size_t active_ = 0;        ///< drafted workers not yet finished
-  bool stop_ = false;
-};
-
-}  // namespace
-
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body,
-                  unsigned threads) {
-  if (count == 0) return;
-  if (threads == 0) threads = default_thread_count();
-  threads = static_cast<unsigned>(std::min<std::size_t>(threads, count));
-
-  if (threads <= 1 || t_inside_parallel) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-
-  WorkerPool::instance().run(count, body, threads);
 }
 
 }  // namespace ecs

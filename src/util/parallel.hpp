@@ -1,35 +1,14 @@
-// parallel.hpp - Parallel replication of independent simulations.
+// parallel.hpp - The default worker-thread count.
 //
-// Sweep points average many independent instances; those replications are
-// embarrassingly parallel. `parallel_for` distributes indices [0, count)
-// over a bounded set of worker threads via an atomic work counter — results
-// are written into caller-preallocated slots, so the aggregation is
-// deterministic regardless of thread interleaving. On a single-core host
-// it degrades gracefully to a serial loop.
-//
-// Workers live in a lazily-initialized persistent pool (grown on demand,
-// joined at process exit), so repeated calls do not pay thread spawn/join
-// per invocation. Top-level calls from distinct threads serialize; a
-// nested parallel_for from inside a body runs serially on that thread.
+// Replications run on sim/batch.hpp's BatchEngine, which starts its own
+// worker threads per run(); this header only says how many to use when a
+// caller asks for the default (threads = 0).
 #pragma once
-
-#include <cstddef>
-#include <functional>
 
 namespace ecs {
 
 /// Number of worker threads to use by default: hardware concurrency,
 /// at least 1.
 [[nodiscard]] unsigned default_thread_count();
-
-/// Invokes `body(i)` for every i in [0, count), using up to `threads`
-/// workers (0 = default_thread_count()). `body` must be safe to call
-/// concurrently for distinct indices. Exceptions thrown by `body` are
-/// captured and the first one is rethrown on the calling thread after all
-/// workers finish. A failure aborts the run early: indices not yet claimed
-/// when the first exception lands are never started (in-flight bodies on
-/// other workers still run to completion).
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
-                  unsigned threads = 0);
 
 }  // namespace ecs

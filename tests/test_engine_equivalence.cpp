@@ -398,6 +398,21 @@ Variant run_traced(const Instance& instance, Policy& policy) {
   return v;
 }
 
+/// An overloaded world: at load 1.5 most rounds hold several live jobs
+/// that wait for the same edge or cloud, so the order the implicit keeps
+/// are walked in decides who gets it.
+Instance contended_instance() {
+  RandomInstanceConfig cfg;
+  cfg.n = 150;
+  cfg.cloud_count = 3;
+  cfg.slow_edges = 2;
+  cfg.fast_edges = 2;
+  cfg.load = 1.5;
+  cfg.ccr = 1.0;
+  Rng rng(1100);
+  return make_random_instance(cfg, rng);
+}
+
 TEST(OrderGaps, ImplicitKeepWalkIsPinned) {
   for (const int seed : {0, 3}) {  // the fault-free worlds
     FaultPlan faults;
@@ -409,6 +424,12 @@ TEST(OrderGaps, ImplicitKeepWalkIsPinned) {
                            world_digest(instance, faults),
                            run_digest(v.result, v.trace));
   }
+  const Instance instance = contended_instance();
+  ReleaseOnlyPolicy policy;
+  const Variant v = run_traced(instance, policy);
+  expect_recorded_digest(order_gap_digests(), "release_only_contended",
+                         world_digest(instance, FaultPlan{}),
+                         run_digest(v.result, v.trace));
 }
 
 TEST(OrderGaps, SimultaneousCompletionOrderIsPinned) {
@@ -632,6 +653,7 @@ std::span<const DigestRow> order_gap_digests() {
   static constexpr DigestRow kRows[] = {
       {"release_only_seed0", 0x112d9b428b594f29, 0x1ffa65333b8cc2b4},
       {"release_only_seed3", 0xb4bda944aee503e1, 0xdaf44cf510d047ff},
+      {"release_only_contended", 0xdae24d8b24f3ff58, 0xe9db936b89863338},
       {"ties_edge_only", 0x8375e1f5185f62c3, 0xabe61048b7b7b78b},
       {"ties_greedy", 0x8375e1f5185f62c3, 0x660345d41fbae3f5},
       {"ties_srpt", 0x8375e1f5185f62c3, 0x2a0f937fc3ea936b},

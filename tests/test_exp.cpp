@@ -1,14 +1,23 @@
 // Tests for the experiment harness (exp/runner.hpp, exp/sweep.hpp,
-// exp/parallel.hpp, exp/report.hpp).
+// exp/report.hpp), the batch driver under it (sim/batch.hpp) and the bench
+// binaries' common flags (bench/bench_common.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
-#include "util/parallel.hpp"
+#include "bench_common.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
+#include "sched/factory.hpp"
+#include "sim/batch.hpp"
+#include "sim/faults.hpp"
+#include "sim/policy.hpp"
 #include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
@@ -25,47 +34,150 @@ Instance tiny_instance(std::uint64_t seed) {
   return make_random_instance(cfg, rng);
 }
 
-TEST(Parallel, CoversAllIndices) {
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+// ------------------------------------------------------------ batch driver
+
+/// Never allocates a job, so the engine stops a world that uses it with a
+/// stall error.
+class ParkAll final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "ParkAll"; }
+  void decide(const SimView&, const std::vector<Event>&,
+              std::vector<Directive>&) override {}
+};
+
+/// The batch tests' policy table: srpt at 0, ParkAll at 1.
+std::unique_ptr<Policy> srpt_or_park(std::size_t p) {
+  if (p == 0) return make_policy("srpt");
+  return std::make_unique<ParkAll>();
 }
 
-TEST(Parallel, SerialFallback) {
-  int count = 0;
-  parallel_for(10, [&](std::size_t) { ++count; }, 1);
-  EXPECT_EQ(count, 10);
+BatchOptions batch_options(unsigned threads) {
+  BatchOptions options;
+  options.threads = threads;
+  options.worlds_per_thread = 2;
+  return options;
 }
 
-TEST(Parallel, EmptyIsNoop) {
-  parallel_for(0, [&](std::size_t) { FAIL(); }, 4);
+TEST(Batch, RunsEveryWorldExactlyOnce) {
+  std::vector<std::atomic<int>> built(100);
+  std::vector<std::atomic<int>> finished(100);
+  BatchEngine batch(1, srpt_or_park, batch_options(4));
+  batch.run(
+      built.size(),
+      [&](std::size_t i, Instance& instance, WorldSetup&) {
+        built[i].fetch_add(1);
+        instance = tiny_instance(i);
+      },
+      [&](std::size_t i, const Instance&, SimResult&, double) {
+        finished[i].fetch_add(1);
+      });
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(built[i].load(), 1) << "world " << i;
+    EXPECT_EQ(finished[i].load(), 1) << "world " << i;
+  }
 }
 
-TEST(Parallel, PropagatesException) {
-  EXPECT_THROW(parallel_for(
+TEST(Batch, OneThreadRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int built = 0;
+  int finished = 0;
+  BatchEngine batch(1, srpt_or_park, batch_options(1));
+  batch.run(
+      10,
+      [&](std::size_t i, Instance& instance, WorldSetup&) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++built;
+        instance = tiny_instance(i);
+      },
+      [&](std::size_t, const Instance&, SimResult&, double) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++finished;
+      });
+  EXPECT_EQ(built, 10);
+  EXPECT_EQ(finished, 10);
+}
+
+TEST(Batch, ZeroWorldsIsANoop) {
+  BatchEngine batch(1, srpt_or_park, batch_options(4));
+  batch.run(
+      0, [](std::size_t, Instance&, WorldSetup&) { FAIL(); },
+      [](std::size_t, const Instance&, SimResult&, double) { FAIL(); });
+}
+
+TEST(Batch, RethrowsTheException) {
+  BatchEngine batch(1, srpt_or_park, batch_options(4));
+  EXPECT_THROW(batch.run(
                    8,
-                   [&](std::size_t i) {
-                     if (i == 3) throw std::runtime_error("boom");
+                   [](std::size_t i, Instance& instance, WorldSetup&) {
+                     instance = tiny_instance(i);
                    },
-                   4),
+                   [](std::size_t i, const Instance&, SimResult&, double) {
+                     if (i == 3) throw std::runtime_error("boom");
+                   }),
                std::runtime_error);
 }
 
-TEST(Parallel, AbortsRemainingWorkOnFirstException) {
-  // With every body throwing, the abort flag must stop workers from
-  // claiming new indices: out of 100000 only a handful (at most one
-  // in-flight per worker, plus the raciness of the relaxed flag) may run.
-  std::atomic<int> invocations{0};
-  EXPECT_THROW(parallel_for(
-                   100000,
-                   [&](std::size_t) {
-                     invocations.fetch_add(1);
-                     throw std::runtime_error("boom");
-                   },
-                   4),
-               std::runtime_error);
-  EXPECT_LE(invocations.load(), 64);  // far below 100000 => short-circuited
+/// Where world 200 of a 400-world batch fails.
+enum class FailAt { kMakeWorld, kOnResult, kEngine };
+
+class BatchStop : public ::testing::TestWithParam<FailAt> {};
+
+TEST_P(BatchStop, NoQueuedWorldStartsAfterTheFirstFailure) {
+  // 4 workers with 2 resident slots each hold at most 8 worlds, and each
+  // worker may claim once more while the failure lands; beyond that, no
+  // world past the failing one may be built. The run must also rethrow
+  // the failure itself, not a later one. Worlds queued after the failing
+  // one take 5 ms to build, so the failure lands while they are few even
+  // when the workers share one core; a driver that does not stop still
+  // builds all 400.
+  constexpr std::size_t kWorlds = 400;
+  constexpr std::size_t kFailing = 200;
+  const FailAt where = GetParam();
+  std::atomic<std::size_t> built{0};
+  BatchEngine batch(2, srpt_or_park, batch_options(4));
+  try {
+    batch.run(
+        kWorlds,
+        [&](std::size_t i, Instance& instance, WorldSetup& setup) {
+          built.fetch_add(1);
+          if (i > kFailing) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+          if (i == kFailing && where == FailAt::kMakeWorld) {
+            throw std::runtime_error("world 200 failed");
+          }
+          instance = tiny_instance(i);
+          // ParkAll stalls in the world's first round.
+          setup.policy = i == kFailing && where == FailAt::kEngine ? 1 : 0;
+        },
+        [&](std::size_t i, const Instance&, SimResult&, double) {
+          if (i == kFailing && where == FailAt::kOnResult) {
+            throw std::runtime_error("world 200 failed");
+          }
+        });
+    FAIL() << "the failure of world 200 was not rethrown";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    if (where == FailAt::kEngine) {
+      EXPECT_NE(what.find("ParkAll"), std::string::npos) << what;
+    } else {
+      EXPECT_EQ(what, "world 200 failed");
+    }
+  }
+  EXPECT_LE(built.load(), kFailing + 4 * 2 + 8);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, BatchStop,
+    ::testing::Values(FailAt::kMakeWorld, FailAt::kOnResult, FailAt::kEngine),
+    [](const auto& param_info) {
+      switch (param_info.param) {
+        case FailAt::kMakeWorld: return std::string("MakeWorld");
+        case FailAt::kOnResult: return std::string("OnResult");
+        case FailAt::kEngine: return std::string("EngineError");
+      }
+      return std::string();
+    });
 
 TEST(Runner, ValidatedRunProducesMetrics) {
   const Instance instance = tiny_instance(1);
@@ -155,42 +267,167 @@ TEST(Sweep, SweepSeedMixesThePointIndex) {
   EXPECT_NE(p0, sweep_seed(43, 0, "0.50", 0));
 }
 
-TEST(Sweep, BatchAndTaskDriversAgreeBitForBit) {
-  // The contract documented on SweepDriver: identical aggregates from both
-  // drivers, wall_seconds excepted (it is wall time). Compare every
-  // deterministic accumulator and the merged sketches on a multi-policy,
-  // multi-replication point, with validation on (rep 0 takes the
-  // record+validate path in both drivers).
+/// What run_sweep_point must aggregate, computed the plain way: one
+/// run_policy() per (replication, policy) on the replication's seed,
+/// validating replication 0, one sketch per run merged in replication
+/// order. `fault_events` sums the fault aborts and message losses seen.
+std::vector<PolicyAggregate> reference_point(
+    const std::string& label, const InstanceFactory& factory,
+    const std::vector<std::string>& policies, const SweepOptions& options,
+    std::uint64_t* fault_events) {
+  std::vector<PolicyAggregate> out(policies.size());
+  for (int rep = 0; rep < options.replications; ++rep) {
+    const std::uint64_t seed =
+        sweep_seed(options.base_seed, options.point_index, label, rep);
+    const Instance instance = factory(seed);
+    RunOptions run_options;
+    run_options.engine = options.engine;
+    if (options.fault_factory) {
+      run_options.engine.faults = options.fault_factory(instance, seed);
+    }
+    run_options.validate = options.validate_first && rep == 0;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      const RunOutcome run = run_policy(instance, policies[p], run_options);
+      EXPECT_EQ(run.validated, rep == 0);
+      *fault_events += run.stats.fault_aborts + run.stats.message_losses;
+      PolicyAggregate& agg = out[p];
+      agg.max_stretch.add(run.metrics.max_stretch);
+      agg.mean_stretch.add(run.metrics.mean_stretch);
+      agg.reassignments.add(static_cast<double>(run.stats.reassignments));
+      agg.events.add(static_cast<double>(run.stats.events));
+      obs::QuantileSketch stretch;
+      obs::QuantileSketch flow;
+      for (const JobMetrics& jm : run.metrics.per_job) {
+        stretch.observe(jm.stretch);
+        flow.observe(jm.response);
+      }
+      agg.stretch_sketch.merge(stretch);
+      agg.flow_sketch.merge(flow);
+      agg.queue_depth_sketch.observe(
+          static_cast<double>(run.stats.max_queue_depth));
+    }
+  }
+  return out;
+}
+
+void expect_same_accumulator(const Accumulator& a, const Accumulator& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.stddev(), b.stddev());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+void expect_same_sketch(const obs::QuantileSketch& a,
+                        const obs::QuantileSketch& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q = " << q;
+  }
+}
+
+/// run_sweep_point against reference_point, bit for bit: every
+/// accumulator and merged sketch, wall_seconds excepted (it is wall time).
+void expect_matches_reference(const SweepOptions& options,
+                              bool expect_faults) {
   const auto factory = [](std::uint64_t seed) { return tiny_instance(seed); };
   const std::vector<std::string> policies = {"srpt", "greedy", "ssf-edf"};
-  SweepOptions batch;
-  batch.replications = 6;
-  batch.threads = 3;
-  batch.driver = SweepDriver::kBatch;
-  batch.point_index = 2;
-  SweepOptions tasks = batch;
-  tasks.driver = SweepDriver::kTasks;
-
-  const SweepPointResult a = run_sweep_point("p", factory, policies, batch);
-  const SweepPointResult b = run_sweep_point("p", factory, policies, tasks);
-  for (const std::string& name : policies) {
-    SCOPED_TRACE(name);
-    const PolicyAggregate& pa = a.policy(name);
-    const PolicyAggregate& pb = b.policy(name);
-    EXPECT_DOUBLE_EQ(pa.max_stretch.mean(), pb.max_stretch.mean());
-    EXPECT_DOUBLE_EQ(pa.max_stretch.stddev(), pb.max_stretch.stddev());
-    EXPECT_DOUBLE_EQ(pa.mean_stretch.mean(), pb.mean_stretch.mean());
-    EXPECT_DOUBLE_EQ(pa.reassignments.mean(), pb.reassignments.mean());
-    EXPECT_DOUBLE_EQ(pa.events.mean(), pb.events.mean());
-    EXPECT_EQ(pa.stretch_sketch.count(), pb.stretch_sketch.count());
-    EXPECT_DOUBLE_EQ(pa.stretch_sketch.sum(), pb.stretch_sketch.sum());
-    EXPECT_DOUBLE_EQ(pa.stretch_sketch.quantile(0.99),
-                     pb.stretch_sketch.quantile(0.99));
-    EXPECT_DOUBLE_EQ(pa.flow_sketch.quantile(0.5),
-                     pb.flow_sketch.quantile(0.5));
-    EXPECT_DOUBLE_EQ(pa.queue_depth_sketch.max(),
-                     pb.queue_depth_sketch.max());
+  const SweepPointResult swept =
+      run_sweep_point("p", factory, policies, options);
+  std::uint64_t fault_events = 0;
+  const std::vector<PolicyAggregate> reference =
+      reference_point("p", factory, policies, options, &fault_events);
+  EXPECT_EQ(fault_events > 0, expect_faults);
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    SCOPED_TRACE(policies[p]);
+    const PolicyAggregate& a = swept.policy(policies[p]);
+    const PolicyAggregate& b = reference[p];
+    expect_same_accumulator(a.max_stretch, b.max_stretch);
+    expect_same_accumulator(a.mean_stretch, b.mean_stretch);
+    expect_same_accumulator(a.reassignments, b.reassignments);
+    expect_same_accumulator(a.events, b.events);
+    EXPECT_EQ(a.wall_seconds.count(), b.max_stretch.count());
+    expect_same_sketch(a.stretch_sketch, b.stretch_sketch);
+    expect_same_sketch(a.flow_sketch, b.flow_sketch);
+    expect_same_sketch(a.queue_depth_sketch, b.queue_depth_sketch);
   }
+}
+
+TEST(Sweep, MatchesPerRunReferenceBitForBit) {
+  // Multi-policy, multi-replication, validation on: replication 0 takes
+  // the record + validate path.
+  SweepOptions options;
+  options.replications = 6;
+  options.threads = 3;
+  options.point_index = 2;
+  expect_matches_reference(options, false);
+}
+
+TEST(Sweep, MatchesPerRunReferenceUnderAFaultPlan) {
+  // The fault plan is drawn per replication; the validator of replication
+  // 0 must see the same plan the engine ran, which the batch callback
+  // re-derives from (instance, seed).
+  SweepOptions options;
+  options.replications = 6;
+  options.threads = 3;
+  options.point_index = 1;
+  options.validate_first = true;
+  options.fault_factory = [](const Instance& instance, std::uint64_t seed) {
+    FaultConfig config;
+    config.crash_rate = 0.02;
+    config.mean_repair = 5.0;
+    config.loss_rate = 0.05;
+    config.horizon = 200.0;
+    Rng rng(seed ^ 0x5eedULL);
+    return make_fault_plan(instance.platform.cloud_count(), config, rng);
+  };
+  expect_matches_reference(options, true);
+}
+
+TEST(Sweep, RejectsReplicationsBelowOne) {
+  const auto factory = [](std::uint64_t seed) { return tiny_instance(seed); };
+  for (const int reps : {0, -1}) {
+    SweepOptions options;
+    options.replications = reps;
+    try {
+      (void)run_sweep_point("p", factory, {"srpt"}, options);
+      FAIL() << "replications = " << reps << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + std::to_string(reps)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// parse_common on the given flags (argv[0] is supplied).
+bench::CommonOptions parse_flags(std::vector<const char*> flags) {
+  flags.insert(flags.begin(), "bench");
+  const Args args =
+      Args::parse(static_cast<int>(flags.size()), flags.data());
+  return bench::parse_common(args, 3);
+}
+
+/// The message parse_common throws for `flag`, or "" when it accepts it.
+std::string parse_error(const char* flag) {
+  try {
+    (void)parse_flags({flag});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BenchFlags, RepsAndThreadsAreChecked) {
+  EXPECT_EQ(parse_flags({}).sweep.replications, 3);
+  EXPECT_EQ(parse_flags({"--reps=1", "--threads=0"}).sweep.replications, 1);
+  EXPECT_EQ(parse_flags({"--threads=2"}).sweep.threads, 2U);
+  EXPECT_NE(parse_error("--reps=0").find("--reps"), std::string::npos);
+  EXPECT_NE(parse_error("--reps=-1").find("--reps"), std::string::npos);
+  EXPECT_NE(parse_error("--threads=-1").find("--threads"), std::string::npos);
 }
 
 TEST(Report, TableAlignmentAndCsv) {
