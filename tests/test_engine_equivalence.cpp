@@ -446,6 +446,104 @@ TEST(OrderGaps, SimultaneousCompletionOrderIsPinned) {
   }
 }
 
+// Paths the cells above leave out: ids that run against release order (a
+// release lands inside the id-ordered live set instead of after it), and
+// policies whose directives, implicit keeps included, do not arrive in
+// (priority, id) order.
+
+/// The contended world with its ids permuted by a stride of 7 (coprime
+/// with its 150 jobs): in release order the ids climb in runs of 21 or 22
+/// and then drop back.
+Instance shuffled_ids_instance() {
+  Instance instance = contended_instance();
+  const auto n = static_cast<JobId>(instance.jobs.size());
+  std::vector<Job> jobs(instance.jobs.size());
+  for (const Job& job : instance.jobs) {
+    Job moved = job;
+    moved.id = job.id * 7 % n;
+    jobs[static_cast<std::size_t>(moved.id)] = moved;
+  }
+  instance.jobs = std::move(jobs);
+  return instance;
+}
+
+/// Directs every live job every round in ascending id order, with a
+/// priority that falls by one every three ids: the directives arrive in
+/// descending priority, ascending id within a priority.
+class DescendingPriorityPolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "DescendingPriority";
+  }
+
+  void decide(const SimView& view, const std::vector<Event>& events,
+              std::vector<Directive>& out) override {
+    (void)events;
+    const int clouds = view.platform().cloud_count();
+    for (const JobId id : view.live_jobs()) {
+      int target = kTargetKeep;
+      if (view.fields(id).alloc == kAllocUnassigned) {
+        target = id % 2 == 0 ? kAllocEdge : (id / 2) % clouds;
+      }
+      out.push_back(Directive{id, target, -static_cast<double>(id / 3),
+                              ReasonCode::kFixedAssignment});
+    }
+  }
+};
+
+/// ReleaseOnlyPolicy with +∞ priorities: a released job's directive ranks
+/// with the implicit keeps, which carry smaller ids in a release-ordered
+/// world and must still run first.
+class InfiniteReleasePolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "InfiniteRelease"; }
+
+  void decide(const SimView& view, const std::vector<Event>& events,
+              std::vector<Directive>& out) override {
+    (void)view;
+    for (const Event& e : events) {
+      if (e.kind != EventKind::kRelease) continue;
+      out.push_back(Directive{e.job, e.job % 2 == 0 ? kAllocEdge : 0,
+                              kTimeInfinity, ReasonCode::kFixedAssignment});
+    }
+  }
+};
+
+TEST(OrderGaps, ShuffledIdsArePinned) {
+  const Instance instance = shuffled_ids_instance();
+  for (const char* name : {"edge-only", "greedy", "srpt", "ssf-edf",
+                           "fcfs"}) {
+    const auto policy = make_policy(name);
+    const Variant v = run_traced(instance, *policy);
+    std::string cell = std::string("shuffled_ids_") + name;
+    std::replace(cell.begin(), cell.end(), '-', '_');
+    expect_recorded_digest(order_gap_digests(), cell,
+                           world_digest(instance, FaultPlan{}),
+                           run_digest(v.result, v.trace));
+  }
+}
+
+TEST(OrderGaps, UnrankedDirectivesArePinned) {
+  const std::pair<const char*, Instance> worlds[] = {
+      {"contended", contended_instance()},
+      {"shuffled", shuffled_ids_instance()}};
+  for (const auto& [world, instance] : worlds) {
+    DescendingPriorityPolicy descending;
+    InfiniteReleasePolicy infinite;
+    for (Policy* policy : {static_cast<Policy*>(&descending),
+                           static_cast<Policy*>(&infinite)}) {
+      const Variant v = run_traced(instance, *policy);
+      const std::string cell = std::string(policy == &descending
+                                               ? "descending_priority_"
+                                               : "infinite_release_") +
+                               world;
+      expect_recorded_digest(order_gap_digests(), cell,
+                             world_digest(instance, FaultPlan{}),
+                             run_digest(v.result, v.trace));
+    }
+  }
+}
+
 // ----------------------------------------------------- batched execution
 //
 // The batch driver's contract: a world's result depends only on its
@@ -659,6 +757,17 @@ std::span<const DigestRow> order_gap_digests() {
       {"ties_srpt", 0x8375e1f5185f62c3, 0x2a0f937fc3ea936b},
       {"ties_ssf_edf", 0x8375e1f5185f62c3, 0xba504c492d3f2c47},
       {"ties_fcfs", 0x8375e1f5185f62c3, 0x37d5c5aa1296b410},
+      {"shuffled_ids_edge_only", 0xc24ebfb210f8d3f8, 0x5430258fea77f1c5},
+      {"shuffled_ids_greedy", 0xc24ebfb210f8d3f8, 0x81356392d7a925b6},
+      {"shuffled_ids_srpt", 0xc24ebfb210f8d3f8, 0xd495dc09ba990fd6},
+      {"shuffled_ids_ssf_edf", 0xc24ebfb210f8d3f8, 0x62db2d65f1013c93},
+      {"shuffled_ids_fcfs", 0xc24ebfb210f8d3f8, 0x1bc9ac27714436b2},
+      {"descending_priority_contended", 0xdae24d8b24f3ff58,
+       0x7d802c87445b8c33},
+      {"infinite_release_contended", 0xdae24d8b24f3ff58, 0x3d4b0cfa6555ea01},
+      {"descending_priority_shuffled", 0xc24ebfb210f8d3f8,
+       0x3c5e4f5398261184},
+      {"infinite_release_shuffled", 0xc24ebfb210f8d3f8, 0xe08960307c3244c1},
   };
   return kRows;
 }
