@@ -34,7 +34,7 @@ int run(int argc, char** argv) {
   using namespace ecs;
   const Args args = Args::parse(argc, argv);
   bench::apply_log_level(args);
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int reps = bench::parse_reps(args, 5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const int n = static_cast<int>(args.get_int("n", 1000));
   const std::vector<double> epsilons =

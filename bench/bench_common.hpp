@@ -32,9 +32,11 @@
 //                        its report; exits 3 on a violation
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -117,23 +119,37 @@ inline void apply_log_level_argv(int& argc, char** argv) {
   argc = out;
 }
 
-/// Parses the common flags. Throws std::invalid_argument naming the flag
-/// when --reps < 1 or --threads < 0 (a negative count would wrap to a huge
-/// unsigned thread request).
-inline CommonOptions parse_common(const Args& args, int default_reps) {
-  CommonOptions options;
+/// The --reps flag. Throws std::invalid_argument naming the flag when it is
+/// below 1 (a sweep of zero replications prints a table of zeros) or does
+/// not fit an int.
+inline int parse_reps(const Args& args, int default_reps) {
   const std::int64_t reps = args.get_int("reps", default_reps);
   if (reps < 1) {
     throw std::invalid_argument("--reps must be >= 1, got " +
                                 std::to_string(reps));
   }
+  constexpr int kMaxReps = std::numeric_limits<int>::max();
+  if (reps > kMaxReps) {
+    throw std::invalid_argument("--reps must be <= " +
+                                std::to_string(kMaxReps) + ", got " +
+                                std::to_string(reps));
+  }
+  return static_cast<int>(reps);
+}
+
+/// Parses the common flags. Throws std::invalid_argument naming the flag
+/// for a bad --reps (parse_reps) or --threads < 0 (a negative count would
+/// wrap to a huge unsigned thread request).
+inline CommonOptions parse_common(const Args& args, int default_reps) {
+  CommonOptions options;
+  const int reps = parse_reps(args, default_reps);
   const std::int64_t threads = args.get_int("threads", 0);
   if (threads < 0) {
     throw std::invalid_argument("--threads must be >= 0 (0 = hardware "
                                 "concurrency), got " +
                                 std::to_string(threads));
   }
-  options.sweep.replications = static_cast<int>(reps);
+  options.sweep.replications = reps;
   options.sweep.base_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
   options.sweep.threads = static_cast<unsigned>(threads);

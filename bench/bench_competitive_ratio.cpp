@@ -27,7 +27,7 @@ int run(int argc, char** argv) {
   using namespace ecs;
   const Args args = Args::parse(argc, argv);
   bench::apply_log_level(args);
-  const int reps = static_cast<int>(args.get_int("reps", 20));
+  const int reps = bench::parse_reps(args, 20);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const int n = static_cast<int>(args.get_int("n", 40));
   const std::vector<double> deltas =

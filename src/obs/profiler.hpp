@@ -60,7 +60,7 @@ class MetricsRegistry;
 /// run's wall time. Documented in docs/OBSERVABILITY.md.
 enum class EnginePhase : std::uint8_t {
   kPrepare,      ///< prepare()/init(): state reset, release sort, timelines
-  kDecide,       ///< live-list rebuild, elision check, policy decide()
+  kDecide,       ///< elision check, policy decide()
   kAllocate,     ///< interval close, retire flush, directive application
   kActivate,     ///< priority arbitration + active-set sort
   kEmit,         ///< queue-depth accounting, trace/metrics counter samples

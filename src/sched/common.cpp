@@ -1,6 +1,7 @@
 #include "sched/common.hpp"
 
 #include <bit>
+#include <numeric>
 #include <span>
 
 namespace ecs {
@@ -126,7 +127,20 @@ void PickSet::snapshot(const SimView& view) {
   edge_free_.assign(static_cast<std::size_t>(platform.edge_count()), 1);
   cloud_free_.assign(static_cast<std::size_t>(platform.cloud_count()), 1);
   edge_head_.assign(edge_free_.size(), -1);
-  fresh_ = pick_fresh_cloud(view, cloud_free_);
+  if (instance.cloud_outages.empty()) {
+    if (platform.cloud_speeds() != speeds_) {
+      speeds_ = platform.cloud_speeds();
+      by_speed_.resize(speeds_.size());
+      std::iota(by_speed_.begin(), by_speed_.end(), 0);
+      std::sort(by_speed_.begin(), by_speed_.end(), [&](int a, int b) {
+        return speeds_[a] != speeds_[b] ? speeds_[a] > speeds_[b] : a < b;
+      });
+    }
+    cursor_ = 0;
+    fresh_ = next_by_speed();
+  } else {
+    fresh_ = pick_fresh_cloud(view, cloud_free_);
+  }
   options_.clear();
   indexed_ = 0;
   const std::size_t live = view.live_jobs().size();

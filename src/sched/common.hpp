@@ -192,11 +192,12 @@ class PickSet {
     // Claiming any other cloud leaves pick_fresh_cloud's answer as it was.
     if (target != fresh_) return;
     const int old_fresh = fresh_;
-    fresh_ = pick_fresh_cloud(*view_, cloud_free_);
     if (!view_->instance().cloud_outages.empty()) {
+      fresh_ = pick_fresh_cloud(*view_, cloud_free_);
       rekey_where(eval, [](const PickOption& o) { return o.slot != kPicked; });
       return;
     }
+    fresh_ = next_by_speed();
     // Without outages a fresh restart costs now + up + work / speed + down
     // on any cloud but the job's own (uncontended_completion): the same
     // bits on a cloud of the same speed, no less on a slower one, and never
@@ -230,6 +231,16 @@ class PickSet {
   }
 
   void snapshot(const SimView& view);
+  /// Without outages, pick_fresh_cloud is the first cloud of by_speed_
+  /// still free. Claims only ever clear cloud_free_, so the cursor moves
+  /// forward only.
+  [[nodiscard]] int next_by_speed() noexcept {
+    while (cursor_ < by_speed_.size() &&
+           cloud_free_[static_cast<std::size_t>(by_speed_[cursor_])] == 0) {
+      ++cursor_;
+    }
+    return cursor_ < by_speed_.size() ? by_speed_[cursor_] : -1;
+  }
   /// Replays the matches on job i's path to the root.
   void replay(std::int32_t i) noexcept;
 
@@ -275,6 +286,11 @@ class PickSet {
   std::vector<char> cloud_free_;
   std::vector<std::int32_t> edge_head_;  ///< first job of each origin edge
   int fresh_ = -1;
+  /// The clouds by (speed desc, index asc), kept across decide() calls and
+  /// rebuilt when the platform's cloud speeds differ from `speeds_`.
+  std::vector<int> by_speed_;
+  std::vector<double> speeds_;
+  std::size_t cursor_ = 0;  ///< by_speed_ clouds before it are claimed
 };
 
 /// Exponential doubling followed by bisection for the smallest stretch

@@ -37,12 +37,6 @@ namespace {
   return obs::TracePoint::kExec;
 }
 
-/// Orders (id, slot) entries by id: the order events fire and policies see.
-[[nodiscard]] bool by_id(const soa::LiveIndex::Entry& a,
-                         const soa::LiveIndex::Entry& b) {
-  return a.id < b.id;
-}
-
 }  // namespace
 
 EngineInstruments::EngineInstruments(obs::MetricsRegistry& registry)
@@ -128,7 +122,7 @@ void EngineCore::init() {
   pool_.reset(0);
   recorders_.clear();
   started_.clear();
-  live_.reset(0);
+  live_.clear();
   seen_round_.clear();
   spans_.clear();
   run_index_.clear();
@@ -140,9 +134,6 @@ void EngineCore::init() {
   admission_log_.clear();
   abandoned_runs_.clear();
   active_ids_.clear();
-  live_sorted_.clear();
-  live_slots_.clear();
-  victims_.clear();
   order_.clear();
   directives_.clear();
   directive_slots_.clear();
@@ -161,7 +152,6 @@ void EngineCore::init() {
   stats_ = SimStats{};
   events_since_completion_ = 0;
   granted_ = 0;
-  live_dirty_ = true;
   decided_once_ = false;
   membership_changed_ = true;
   elided_rounds_ = 0;
@@ -284,7 +274,7 @@ void EngineCore::admit(const Job& job) {
   const std::int32_t slot = acquire_slot(job);
   pool_.released(slot) = 1;
   live_.insert(job.id, slot);
-  mark_live_changed();
+  membership_changed_ = true;
   ++remaining_jobs_;
   ++stats_.admitted;
   if (live_.size() > stats_.peak_live) {
@@ -309,7 +299,6 @@ std::int32_t EngineCore::acquire_slot(const Job& job) {
     slot = pool_.grow();
     if (record_schedule_) recorders_.emplace_back();
     started_.push_back(0);
-    live_.grow();
     seen_round_.push_back(0);
     if (trace_ != nullptr) {
       spans_.emplace_back();
@@ -359,8 +348,8 @@ bool EngineCore::admission_allows(const Job& job) {
 /// Live jobs holding no resource at this instant (the admission queue).
 std::uint64_t EngineCore::queued_count() const {
   std::uint64_t waiting = 0;
-  for (const soa::LiveIndex::Entry& e : live_) {
-    if (pool_.active(e.slot) == Activity::kNone) ++waiting;
+  for (const std::int32_t slot : live_.slots()) {
+    if (pool_.active(slot) == Activity::kNone) ++waiting;
   }
   return waiting;
 }
@@ -383,37 +372,37 @@ bool EngineCore::sheddable(std::int32_t slot) const {
 /// kShedInfeasible: evicts every sheddable resident whose stretch lower
 /// bound already exceeds `limit` — its deadline release + limit *
 /// best_time cannot be met no matter what the policy does.
+/// Victims go in id order; a shed erases the walk's current position, and
+/// no resident's verdict depends on another's.
 void EngineCore::shed_infeasible(double limit) {
-  victims_.clear();
-  for (const soa::LiveIndex::Entry& e : live_) {
-    if (!sheddable(e.slot)) continue;
-    if (stretch_lower_bound(e.slot) > limit) victims_.push_back(e);
-  }
-  std::sort(victims_.begin(), victims_.end(), by_id);
-  for (const soa::LiveIndex::Entry& e : victims_) {
-    shed(e.slot, ReasonCode::kAdmissionDeadlineInfeasible);
+  std::size_t i = 0;
+  while (i < live_.size()) {
+    const std::int32_t slot = live_.slots()[i];
+    if (sheddable(slot) && stretch_lower_bound(slot) > limit) {
+      shed(slot, ReasonCode::kAdmissionDeadlineInfeasible);
+    } else {
+      ++i;
+    }
   }
 }
 
 /// kRejectHopeless: evicts the sheddable resident with the worst stretch
 /// lower bound, provided it is worse than the arrival's own (1.0 at its
-/// release). Ties prefer the newest (largest id). Returns true when a
-/// victim was shed, making room for the arrival.
+/// release). Ties prefer the newest (largest id): the walk is in id order.
+/// Returns true when a victim was shed, making room for the arrival.
 bool EngineCore::shed_most_hopeless() {
-  soa::LiveIndex::Entry worst{-1, -1};
+  std::int32_t worst = -1;
   double worst_lb = 1.0;
-  for (const soa::LiveIndex::Entry& e : live_) {
-    if (!sheddable(e.slot)) continue;
-    const double lb = stretch_lower_bound(e.slot);
-    if (lb > worst_lb) {
-      worst = e;
+  for (const std::int32_t slot : live_.slots()) {
+    if (!sheddable(slot)) continue;
+    const double lb = stretch_lower_bound(slot);
+    if (lb > worst_lb || (lb == worst_lb && worst >= 0)) {
+      worst = slot;
       worst_lb = lb;
-    } else if (lb == worst_lb && worst.id >= 0 && e.id > worst.id) {
-      worst = e;
     }
   }
-  if (worst.id < 0) return false;
-  shed(worst.slot, ReasonCode::kAdmissionStretchHopeless);
+  if (worst < 0) return false;
+  shed(worst, ReasonCode::kAdmissionStretchHopeless);
   return true;
 }
 
@@ -458,8 +447,8 @@ void EngineCore::shed(std::int32_t slot, ReasonCode reason) {
     rec.reason = static_cast<int>(reason);
     trace_->record(rec);
   }
-  live_.erase(slot);
-  mark_live_changed();
+  live_.erase(id);
+  membership_changed_ = true;
   pool_.released(slot) = 0;  // expelled: live() is false from here on
   ++stats_.sheds;
   --remaining_jobs_;
@@ -584,20 +573,8 @@ void EngineCore::step() {
 
 void EngineCore::decide_and_activate() {
   // 1. Ask the policy what to do about the events that just fired. The
-  //    sorted live index gives SimView::live_jobs() and live_slots() in
-  //    O(live) and, below, the id-ordered implicit-keep walk. Rebuilt
-  //    lazily: rounds that left membership alone reuse the lists.
-  if (live_dirty_) {
-    live_scratch_.assign(live_.begin(), live_.end());
-    std::sort(live_scratch_.begin(), live_scratch_.end(), by_id);
-    live_sorted_.clear();
-    live_slots_.clear();
-    for (const soa::LiveIndex::Entry& e : live_scratch_) {
-      live_sorted_.push_back(e.id);
-      live_slots_.push_back(e.slot);
-    }
-    live_dirty_ = false;
-  }
+  //    view aliases the id-ordered live index (SimView::live_jobs() and
+  //    live_slots()), which also drives the implicit-keep walk below.
   // No-op round elision (ElisionContract, DESIGN.md §8): when no event of
   // this batch is in the policy's trigger set, decide() provably would emit
   // nothing (kEmpty) or re-emit the previous round's directives verbatim
@@ -631,7 +608,7 @@ void EngineCore::decide_and_activate() {
     }
     ++elided_rounds_;
   } else {
-    const SimView view(*instance_, pool_, now_, live_sorted_, live_slots_,
+    const SimView view(*instance_, pool_, now_, live_.ids(), live_.slots(),
                        id_map_);
     // Two steady-clock reads per round are measurable at batch scale, so
     // the policy timer sits behind a switch (EngineConfig::time_policy,
@@ -654,11 +631,10 @@ void EngineCore::decide_and_activate() {
                   static_cast<double>(directives.size()));
   }
   events_.clear();
-  // kDecide covers the live-list rebuild, the elision check and decide()
-  // itself; the lap also feeds the per-policy decision-latency sketch.
-  // Elided rounds are observed too — elision is a real latency win and
-  // belongs in the distribution (ProfileReport::elided_rounds separates
-  // the populations).
+  // kDecide covers the elision check and decide() itself; the lap also
+  // feeds the per-policy decision-latency sketch. Elided rounds are
+  // observed too — elision is a real latency win and belongs in the
+  // distribution (ProfileReport::elided_rounds separates the populations).
   if (profiler_ != nullptr) profiler_->lap_decision();
 
   // 2. Close all open intervals; they will reopen seamlessly below
@@ -697,17 +673,27 @@ void EngineCore::decide_and_activate() {
   if (directives.empty()) {
     // Fast path: no explicit directives means every live job is an
     // implicit keep with the same kTimeInfinity key, whose (key, id)
-    // sort is exactly ascending id — i.e. the live list as-is. Skip the
+    // sort is exactly ascending id — i.e. the live index as-is. Skip the
     // order buffer and the sort altogether.
     busy_.clear();
-    for (const std::int32_t slot : live_slots_) try_activate(slot);
+    for (const std::int32_t slot : live_.slots()) try_activate(slot);
   } else {
+    const auto before = [](const Ranked& a, const Ranked& b) {
+      return a.priority != b.priority ? a.priority < b.priority : a.id < b.id;
+    };
+    // Policies that emit by rank (SSF-EDF, FCFS, Greedy, SRPT) build the
+    // order already sorted, implicit keeps included; `ranked` notes whether
+    // every entry went in after its predecessor, so only the others sort.
+    bool ranked = true;
+    const auto append = [&](const Ranked& r) {
+      if (!order_.empty() && before(r, order_.back())) ranked = false;
+      order_.push_back(r);
+    };
     order_.clear();
     for (std::size_t i = 0; i < directives.size(); ++i) {
       const std::int32_t slot = directive_slots_[i];
       if (slot >= 0 && pool_.live(slot)) {
-        order_.push_back(Ranked{directives[i].priority, directives[i].job,
-                                slot});
+        append(Ranked{directives[i].priority, directives[i].job, slot});
       }
     }
     // Round stamps replace a per-round O(n) boolean reset: a job is
@@ -717,20 +703,18 @@ void EngineCore::decide_and_activate() {
       round_ = 1;
     }
     for (const Ranked& r : order_) seen_round_[r.slot] = round_;
-    for (std::size_t i = 0; i < live_slots_.size(); ++i) {
-      if (seen_round_[live_slots_[i]] != round_) {
-        order_.push_back(Ranked{kTimeInfinity, live_sorted_[i],
-                                live_slots_[i]});
+    const std::span<const JobId> ids = live_.ids();
+    const std::span<const std::int32_t> slots = live_.slots();
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (seen_round_[slots[i]] != round_) {
+        append(Ranked{kTimeInfinity, ids[i], slots[i]});
       }
     }
     // (priority, id) pairs only tie when they are fully identical
     // (duplicate directives), so a plain sort yields the same sequence a
-    // stable sort would — without libstdc++'s temporary buffer.
-    std::sort(order_.begin(), order_.end(),
-              [](const Ranked& a, const Ranked& b) {
-                return a.priority != b.priority ? a.priority < b.priority
-                                                : a.id < b.id;
-              });
+    // stable sort would — without libstdc++'s temporary buffer — and an
+    // order built sorted is already that sequence.
+    if (!ranked) std::sort(order_.begin(), order_.end(), before);
 
     busy_.clear();
     for (const Ranked& r : order_) try_activate(r.slot);
@@ -755,7 +739,7 @@ void EngineCore::sample_counters(std::uint64_t waiting) {
   trace_counter(obs::TracePoint::kReadyQueueDepth,
                 static_cast<double>(waiting));
   double live_max = stats_.max_stretch;
-  for (const std::int32_t slot : live_slots_) {
+  for (const std::int32_t slot : live_.slots()) {
     const double best = pool_.best_time(slot);
     const double denom = best > 0.0 ? best : 1.0;
     live_max = std::max(live_max, (now_ - pool_.job(slot).release) / denom);
@@ -1064,8 +1048,8 @@ void EngineCore::advance_to_next_event() {
     if (pool_.all_amounts_done(slot)) {
       pool_.done(slot) = 1;
       job_completed = true;
-      live_.erase(slot);
-      mark_live_changed();
+      live_.erase(id);
+      membership_changed_ = true;
       pool_.completion(slot) = now_;
       --remaining_jobs_;
       ++stats_.completed;
@@ -1142,12 +1126,9 @@ void EngineCore::advance_to_next_event() {
 /// Compact dump of the live jobs — id, allocation, current activity —
 /// for the stall / event-cap diagnostics. Capped at 8 entries.
 std::string EngineCore::describe_live_jobs() const {
-  std::vector<soa::LiveIndex::Entry> live(live_.begin(), live_.end());
-  std::sort(live.begin(), live.end(), by_id);
   std::ostringstream os;
   int shown = 0;
-  for (const soa::LiveIndex::Entry& e : live) {
-    const std::int32_t slot = e.slot;
+  for (const std::int32_t slot : live_.slots()) {
     if (shown == 8) {
       os << ", ...";
       break;
@@ -1205,14 +1186,12 @@ void EngineCore::fire_faults() {
 /// stays on the books as an abandoned run because it physically occupied
 /// resources.
 void EngineCore::abort_jobs_on_cloud(CloudId crashed) {
-  // Victims come from the live set (no instance-wide sweep); sort so the
-  // abort events keep firing in job-id order like the old full scan.
-  victims_.clear();
-  for (const soa::LiveIndex::Entry& e : live_) {
-    if (pool_.alloc(e.slot) == crashed) victims_.push_back(e);
-  }
-  std::sort(victims_.begin(), victims_.end(), by_id);
-  for (const auto& [id, slot] : victims_) {
+  // Victims come from the live set (no instance-wide sweep), walked in id
+  // order so the abort events fire in job-id order. An abort leaves live
+  // membership alone.
+  for (const std::int32_t slot : live_.slots()) {
+    if (pool_.alloc(slot) != crashed) continue;
+    const JobId id = pool_.job(slot).id;
     if (trace_ != nullptr) {
       trace_close_span(slot);
       trace_instant(obs::TracePoint::kFault, slot, crashed, 0.0);

@@ -257,18 +257,9 @@ class EngineCore {
   /// Slots of jobs mid-activity, in grant order.
   std::vector<std::int32_t> active_ids_;
   std::vector<std::int32_t> fired_;  ///< scratch: slots whose activity ended
-  soa::LiveIndex live_;            ///< sparse-set (id, slot) live index
-  /// The live ids ascending and their slots beside them, rebuilt lazily:
-  /// any live-set mutation sets live_dirty_ and the next decision round
-  /// re-sorts once.
-  std::vector<JobId> live_sorted_;
-  std::vector<std::int32_t> live_slots_;
-  std::vector<soa::LiveIndex::Entry> live_scratch_;  ///< the re-sort buffer
-  bool live_dirty_ = true;
+  soa::LiveIndex live_;  ///< live ids ascending, slots beside them
   std::vector<std::uint32_t> seen_round_;     ///< round stamp per slot
   std::uint32_t round_ = 0;
-  /// Scratch for crash-abort / shed collection, id-sorted before use.
-  std::vector<soa::LiveIndex::Entry> victims_;
 
   // --- no-op round elision (ElisionContract, see sim/policy.hpp) ---
   /// Cached contract; triggers always include kFault/kRecovery. mode is
@@ -279,13 +270,6 @@ class EngineCore {
   /// sheds and completions all set it; kReuse elision requires it clear.
   bool membership_changed_ = true;
   std::uint64_t elided_rounds_ = 0;
-
-  /// Every live-set mutation funnels through here: the sorted live list
-  /// must be rebuilt and reuse-mode elision is off until the next decide().
-  void mark_live_changed() noexcept {
-    live_dirty_ = true;
-    membership_changed_ = true;
-  }
 
   // --- arrivals and retirement ---
   std::optional<Job> pending_;       ///< next arrival, not yet released

@@ -54,8 +54,8 @@ struct Directive {
 
 /// Read-only view of the simulation passed to policies.
 ///
-/// The view holds the engine's SoA StatePool, the sorted live list and the
-/// engine's id -> slot map. live_jobs() are the live ids ascending and
+/// The view holds the engine's SoA StatePool, its id-ordered live index
+/// and its id -> slot map. live_jobs() are the live ids ascending and
 /// live_slots() their state slots, position for position, so a policy that
 /// walks the live set reads fields_at_slot(live_slots()[i]) without
 /// resolving an id. Completed jobs retire and their state slots are
@@ -115,7 +115,7 @@ class SimView {
   }
 
   /// Ids of released, unfinished jobs, ascending. Non-owning: the span
-  /// aliases the engine's sorted live list (no copy — this sits on every
+  /// aliases the engine's live index (no copy — this sits on every
   /// policy's hot path) and is valid only while the view is.
   [[nodiscard]] std::span<const JobId> live_jobs() const noexcept {
     return live_jobs_;

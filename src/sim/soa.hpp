@@ -9,11 +9,10 @@
 //                  dense array indexed by state slot. It is the only copy
 //                  of per-job state: policies read it through SimView,
 //                  which gathers a JobFields per job from the arrays.
-//  * LiveIndex   - sparse-set index of the live (released, unfinished)
-//                  jobs: a dense array of (id, slot) pairs with O(1)
-//                  swap-erase plus a slot -> dense-position table. Erasure
-//                  needs no id -> slot lookup because the dense entries
-//                  carry both.
+//  * LiveIndex   - the live (released, unfinished) jobs in ascending id
+//                  order, kept in place: parallel id and slot arrays that
+//                  policies read directly as SimView::live_jobs() and
+//                  live_slots().
 //  * IdMap       - open-addressing id -> slot hash map for the engine.
 //                  Replaces the dense id window, whose storage grew with
 //                  the *span* of in-flight ids (unbounded when one old job
@@ -21,8 +20,8 @@
 //                  tracks the *count* of tracked ids, so engine memory is
 //                  O(peak_live) under any completion order.
 //
-// All three are deterministic: iteration order of LiveIndex depends only on
-// the insert/erase sequence, and IdMap is only ever probed point-wise.
+// All three are deterministic: LiveIndex iterates in id order, and IdMap is
+// only ever probed point-wise.
 #pragma once
 
 #include <algorithm>
@@ -30,6 +29,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/job.hpp"
@@ -254,51 +254,49 @@ class StatePool {
   std::vector<int> reassignments_;
 };
 
-/// Sparse-set index of the live jobs. The dense array carries (id, slot)
-/// pairs so iteration hands both without a map lookup; `pos_` maps a state
-/// slot back to its dense position for O(1) swap-erase.
+/// The live jobs ascending by id, with each job's state slot at the same
+/// position of a parallel array. A release-ordered stream with ascending
+/// ids only ever appends; any other insert, and every erase, is a binary
+/// search and a shift of the tail.
 class LiveIndex {
  public:
-  struct Entry {
-    JobId id;
-    std::int32_t slot;
-  };
-
-  /// Clears the index and sizes the slot -> position table for `slots`.
-  void reset(std::size_t slots) {
-    dense_.clear();
-    pos_.assign(slots, -1);
+  void clear() noexcept {
+    ids_.clear();
+    slots_.clear();
   }
 
-  /// Tracks one more state slot (growth on arrival).
-  void grow() { pos_.push_back(-1); }
-
+  /// Adds a job that is not tracked yet.
   void insert(JobId id, std::int32_t slot) {
-    assert(pos_[slot] < 0);
-    pos_[slot] = static_cast<std::int32_t>(dense_.size());
-    dense_.push_back(Entry{id, slot});
+    if (ids_.empty() || ids_.back() < id) {
+      ids_.push_back(id);
+      slots_.push_back(slot);
+      return;
+    }
+    const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
+    assert(*at != id);
+    slots_.insert(slots_.begin() + (at - ids_.begin()), slot);
+    ids_.insert(at, id);
   }
 
-  void erase(std::int32_t slot) {
-    const std::int32_t p = pos_[slot];
-    assert(p >= 0);
-    const Entry moved = dense_.back();
-    dense_[p] = moved;
-    pos_[moved.slot] = p;
-    dense_.pop_back();
-    pos_[slot] = -1;
+  /// Removes a tracked job.
+  void erase(JobId id) {
+    const auto at = std::lower_bound(ids_.begin(), ids_.end(), id);
+    assert(at != ids_.end() && *at == id);
+    slots_.erase(slots_.begin() + (at - ids_.begin()));
+    ids_.erase(at);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return dense_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return dense_.empty(); }
-  [[nodiscard]] const Entry* begin() const noexcept { return dense_.data(); }
-  [[nodiscard]] const Entry* end() const noexcept {
-    return dense_.data() + dense_.size();
+  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
+  /// The live ids, ascending.
+  [[nodiscard]] std::span<const JobId> ids() const noexcept { return ids_; }
+  /// The state slots of ids(), position for position.
+  [[nodiscard]] std::span<const std::int32_t> slots() const noexcept {
+    return slots_;
   }
 
  private:
-  std::vector<Entry> dense_;          ///< live (id, slot) pairs, unordered
-  std::vector<std::int32_t> pos_;     ///< slot -> dense index, -1 = not live
+  std::vector<JobId> ids_;
+  std::vector<std::int32_t> slots_;
 };
 
 /// Open-addressing id -> slot hash map (linear probing, power-of-two

@@ -428,6 +428,29 @@ TEST(BenchFlags, RepsAndThreadsAreChecked) {
   EXPECT_NE(parse_error("--reps=0").find("--reps"), std::string::npos);
   EXPECT_NE(parse_error("--reps=-1").find("--reps"), std::string::npos);
   EXPECT_NE(parse_error("--threads=-1").find("--threads"), std::string::npos);
+  EXPECT_NE(parse_error("--reps=2147483648").find("--reps"),
+            std::string::npos);
+}
+
+/// parse_reps on its own, as the benches outside parse_common call it.
+TEST(BenchFlags, RepsHelperRejectsNonPositiveCounts) {
+  const auto reps = [](std::vector<const char*> flags) {
+    flags.insert(flags.begin(), "bench");
+    return bench::parse_reps(
+        Args::parse(static_cast<int>(flags.size()), flags.data()), 20);
+  };
+  EXPECT_EQ(reps({}), 20);
+  EXPECT_EQ(reps({"--reps=1"}), 1);
+  EXPECT_EQ(reps({"--reps=2147483647"}), 2147483647);
+  for (const char* bad : {"--reps=0", "--reps=-3", "--reps=4294967296"}) {
+    try {
+      (void)reps({bad});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--reps"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Report, TableAlignmentAndCsv) {

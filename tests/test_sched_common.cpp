@@ -1,12 +1,14 @@
 // Tests for the shared policy helpers (sched/common.hpp): sticky target
 // selection (ResourceClock::best_target_sticky, which the list assignment
-// uses), the immediate-start list assignment and the (key, id) sort.
+// uses), the immediate-start list assignment, the (key, id) sort and the
+// PickSet's fresh-cloud pick.
 #include "sched/common.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -238,6 +240,113 @@ TEST(SortOrdered, PastTheMoveBudget) {
   // And with the smallest entry last: nothing keeps its position.
   v.back().key = -1.0;
   expect_sorts_like_std_sort(v);
+}
+
+// PickSet::fresh() must be pick_fresh_cloud's answer after every claim,
+// whether it comes from the speed-ordered cursor (no outages) or from the
+// scan (outages).
+
+/// Eight unassigned jobs on two edges, released at 0, over clouds of the
+/// given speeds.
+Instance pick_instance(std::vector<double> cloud_speeds) {
+  Instance instance;
+  instance.platform = Platform({1.0, 0.5}, std::move(cloud_speeds));
+  for (JobId id = 0; id < 8; ++id) {
+    Job job;
+    job.id = id;
+    job.origin = id % 2;
+    job.work = 1.0 + id;
+    job.up = 0.25;
+    job.down = 0.25;
+    instance.jobs.push_back(job);
+  }
+  return instance;
+}
+
+/// Claims the clouds in `order`, one job each, with an edge claim and a
+/// keep between (so at most 6 clouds for the 8 jobs). Checks fresh()
+/// against pick_fresh_cloud on the same free clouds after every claim, and
+/// -1 once every cloud is taken.
+void expect_fresh_tracks_scan(PickSet& set, const SimView& view,
+                              const std::vector<int>& order) {
+  const auto eval = [](std::int32_t) -> std::optional<double> { return 1.0; };
+  set.begin(view, eval);
+  ASSERT_LE(order.size() + 2, static_cast<std::size_t>(set.size()));
+  std::vector<char> free(order.size(), 1);
+  ASSERT_EQ(set.fresh(), pick_fresh_cloud(view, free));
+  std::int32_t job = 0;
+  for (const int cloud : order) {
+    set.claim(job++, cloud, eval);
+    free[static_cast<std::size_t>(cloud)] = 0;
+    ASSERT_EQ(set.fresh(), pick_fresh_cloud(view, free))
+        << "after claiming cloud " << cloud;
+    if (job == 2) {
+      set.claim(job++, kAllocEdge, eval);
+      ASSERT_EQ(set.fresh(), pick_fresh_cloud(view, free));
+    }
+    if (job == 4) {
+      set.claim(job++, kTargetKeep, eval);
+      ASSERT_EQ(set.fresh(), pick_fresh_cloud(view, free));
+    }
+  }
+  EXPECT_EQ(set.fresh(), -1);
+}
+
+/// Every claim order of `instance`'s clouds, on one reused PickSet.
+void expect_fresh_tracks_scan_in_every_order(PickSet& set,
+                                             const Instance& instance) {
+  const PoolView round(instance, 1.0);
+  const SimView view = round.view();
+  std::vector<int> order(
+      static_cast<std::size_t>(instance.platform.cloud_count()));
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    order[k] = static_cast<int>(k);
+  }
+  do {
+    expect_fresh_tracks_scan(set, view, order);
+    if (::testing::Test::HasFatalFailure()) return;
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(PickSetFresh, HeterogeneousSpeedsWithTies) {
+  PickSet set;
+  expect_fresh_tracks_scan_in_every_order(set,
+                                          pick_instance({2, 1, 2, 3, 3}));
+}
+
+TEST(PickSetFresh, FollowsAChangeOfCloudSpeeds) {
+  // One set across decide() calls on different platforms: the speed order
+  // it keeps must follow the speeds.
+  PickSet set;
+  expect_fresh_tracks_scan_in_every_order(set, pick_instance({1, 2, 3}));
+  expect_fresh_tracks_scan_in_every_order(set, pick_instance({3, 2, 1}));
+  expect_fresh_tracks_scan_in_every_order(set, pick_instance({1, 1, 1, 1}));
+  expect_fresh_tracks_scan_in_every_order(set, pick_instance({1, 2, 3}));
+}
+
+TEST(PickSetFresh, OutagesTakeTheScan) {
+  // At t = 1 the two fastest clouds are out: they serve only once every
+  // available cloud is taken.
+  Instance instance = pick_instance({2, 1, 2, 3, 3});
+  instance.cloud_outages.resize(5);
+  instance.cloud_outages[3].add(0.5, 2.0);
+  instance.cloud_outages[4].add(0.0, 4.0);
+  instance.cloud_outages[1].add(3.0, 4.0);  // not yet
+  PickSet set;
+  expect_fresh_tracks_scan_in_every_order(set, instance);
+  const PoolView round(instance, 1.0);
+  const SimView view = round.view();
+  set.begin(view, [](std::int32_t) -> std::optional<double> { return 1.0; });
+  EXPECT_EQ(set.fresh(), 0);
+}
+
+TEST(PickSetFresh, NoCloud) {
+  PickSet set;
+  const Instance instance = pick_instance({});
+  const PoolView round(instance, 1.0);
+  const SimView view = round.view();
+  set.begin(view, [](std::int32_t) -> std::optional<double> { return 1.0; });
+  EXPECT_EQ(set.fresh(), -1);
 }
 
 }  // namespace
