@@ -22,9 +22,8 @@ void list_assign_directives(const SimView& view,
   double priority = 0.0;
   for (const OrderedJob& entry : order) {
     const JobFields& f = fields[static_cast<std::size_t>(entry.pos)];
-    const int target = clock.best_target_sticky(platform, f).first;
-    const bool immediate = clock.starts_now(platform, f, target, now);
-    clock.commit(platform, f, target);
+    bool immediate = false;
+    const int target = clock.place(platform, f, now, &immediate).first;
     const ReasonCode reason =
         !immediate ? ReasonCode::kQueuedBehindPriority
                    : (is_cloud_alloc(target) ? offload_reason : local_reason);

@@ -53,8 +53,7 @@ bool SsfEdfPolicy::feasible(const SimView& view, double stretch) {
   }
   for (std::size_t i = shared; i < order.size(); ++i) {
     const JobFields& s = fields(order[i]);
-    const auto [target, done] = clock_.best_target_sticky(platform, s);
-    clock_.commit(platform, s, target);
+    const auto [target, done] = clock_.place(platform, s, view.now());
     steps_[i] = Step{target, done};
     walked_ = i + 1;
     // Short-circuit: one missed deadline sinks the candidate.
@@ -72,9 +71,11 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   // Lower bound: no schedule can beat each job's individually best
   // achievable stretch from the current state (and 1.0 overall).
   double lo = 1.0;
+  const CloudId fastest = fastest_cloud(platform);
   for (const std::int32_t slot : view.live_slots()) {
     const JobFields& s = fields_[static_cast<std::size_t>(slot)];
-    const Time best_done = best_uncontended_completion(platform, s, now);
+    const Time best_done =
+        best_uncontended_completion(platform, s, now, fastest);
     lo = std::max(lo, (best_done - s.job->release) / s.best_time);
   }
 

@@ -17,6 +17,11 @@ namespace ecs {
 
 namespace {
 constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 }  // namespace
 
 struct BatchEngine::Worker {
@@ -38,7 +43,9 @@ struct BatchEngine::Worker {
     /// executes; profile_report() merges the slots.
     std::unique_ptr<obs::EngineProfiler> profiler;
     std::size_t index = kIdle;  ///< queued-world index, kIdle when free
-    std::chrono::steady_clock::time_point t0;
+    /// Service time so far: this world's own prepare, visits and finish,
+    /// not the rounds stepped for the other resident worlds.
+    double service_seconds = 0.0;
   };
 
   std::vector<std::unique_ptr<World>> worlds;
@@ -154,10 +161,11 @@ void BatchEngine::run_worker(Worker& worker, Queue& queue,
     }
     std::unique_ptr<Policy>& policy = world.policies[world.setup.policy];
     if (policy == nullptr) policy = factory_(world.setup.policy);
-    world.t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     // Same order as simulate(): reset, then prepare, then step.
     policy->reset(world.instance);
     world.core.prepare(world.instance, nullptr, *policy, world.setup.config);
+    world.service_seconds = seconds_since(t0);
     return true;
   };
 
@@ -169,14 +177,14 @@ void BatchEngine::run_worker(Worker& worker, Queue& queue,
       Worker::World& world = *worker.worlds[s];
       if (world.index == kIdle && !launch(world)) continue;
       any_live = true;
-      if (!world.core.step_rounds(rounds)) continue;
-      world.core.finish_into(world.result);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double wall =
-          std::chrono::duration<double>(t1 - world.t0).count();
+      const auto t0 = std::chrono::steady_clock::now();
+      const bool finished = world.core.step_rounds(rounds);
+      if (finished) world.core.finish_into(world.result);
+      world.service_seconds += seconds_since(t0);
+      if (!finished) continue;
       const std::size_t index = world.index;
       world.index = kIdle;  // recycled even if the callback throws
-      on_result(index, world.instance, world.result, wall);
+      on_result(index, world.instance, world.result, world.service_seconds);
       if (options_.heartbeat != nullptr) options_.heartbeat->world_done();
     }
     if (!any_live) return;

@@ -86,8 +86,10 @@ using WorldFn =
 
 /// Consumes a finished world on the worker thread, before its slot is
 /// recycled: `instance` is the world's instance, `result` the harvested
-/// run (callers may move from it), `wall_seconds` the world's
-/// prepare-to-finish wall time. Must be thread-safe for distinct indices.
+/// run (callers may move from it), `wall_seconds` the world's service
+/// time: the wall time of its own prepare, stepping and finish, without the
+/// rounds its worker stepped for other resident worlds in between. Must be
+/// thread-safe for distinct indices.
 using WorldResultFn =
     std::function<void(std::size_t index, const Instance& instance,
                        SimResult& result, double wall_seconds)>;

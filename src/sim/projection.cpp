@@ -103,13 +103,18 @@ CloudId fastest_cloud(const Platform& platform) {
 
 Time best_uncontended_completion(const Platform& platform, const JobFields& f,
                                  Time now) {
+  return best_uncontended_completion(platform, f, now,
+                                     fastest_cloud(platform));
+}
+
+Time best_uncontended_completion(const Platform& platform, const JobFields& f,
+                                 Time now, CloudId fastest) {
   Time best = uncontended_completion(platform, f, kAllocEdge, now);
-  if (platform.cloud_count() > 0) {
+  if (fastest >= 0) {
     // Idle cloud processors of equal speed are interchangeable; the
     // fastest one is the best fresh representative. The current
     // allocation (if any) is probed separately to account for progress.
-    best = std::min(
-        best, uncontended_completion(platform, f, fastest_cloud(platform), now));
+    best = std::min(best, uncontended_completion(platform, f, fastest, now));
     if (is_cloud_alloc(f.alloc)) {
       best = std::min(best, uncontended_completion(platform, f, f.alloc, now));
     }
@@ -136,6 +141,7 @@ void ResourceClock::bind(const Platform& platform, Time now) {
   }
   fresh_.resize(clouds);
   outages_ = nullptr;
+  max_cloud_speed_ = platform.max_cloud_speed();
   bound_ = true;
   reset(now);
 }
@@ -174,8 +180,8 @@ ResourceClock::Projection ResourceClock::cloud_legs(
 }
 
 ResourceClock::Projection ResourceClock::project_detail(
-    const Platform& platform, const JobFields& f, int target) const {
-  const RemainingAmounts rem = remaining_on(f, target);
+    const Platform& platform, const JobFields& f, int target,
+    const RemainingAmounts& rem) const {
   const auto o = static_cast<std::size_t>(f.job->origin);
   if (target == kAllocEdge) {
     Projection p{};
@@ -191,35 +197,42 @@ ResourceClock::Projection ResourceClock::project_detail(
 
 Time ResourceClock::project(const Platform& platform, const JobFields& f,
                             int target) const {
-  return project_detail(platform, f, target).done;
+  return project_detail(platform, f, target, remaining_on(f, target)).done;
+}
+
+void ResourceClock::apply(std::size_t o, const Choice& c) noexcept {
+  if (c.target == kAllocEdge) {
+    edge_cpu_[o] = c.legs.exec_end;
+    return;
+  }
+  const auto kc = static_cast<std::size_t>(c.target);
+  if (c.rem.up > 0.0) {
+    edge_send_[o] = c.legs.up_end;
+    cloud_recv_[kc] = c.legs.up_end;
+  }
+  cloud_cpu_[kc] = c.legs.exec_end;
+  if (c.rem.down > 0.0) {
+    cloud_send_[kc] = c.legs.done;
+    edge_recv_[o] = c.legs.done;
+  }
 }
 
 Time ResourceClock::commit(const Platform& platform, const JobFields& f,
                            int target) {
-  const Projection p = project_detail(platform, f, target);
-  const auto o = static_cast<std::size_t>(f.job->origin);
-  if (target == kAllocEdge) {
-    edge_cpu_[o] = p.exec_end;
-    return p.done;
-  }
-  const auto kc = static_cast<std::size_t>(target);
   const RemainingAmounts rem = remaining_on(f, target);
-  if (rem.up > 0.0) {
-    edge_send_[o] = p.up_end;
-    cloud_recv_[kc] = p.up_end;
-  }
-  cloud_cpu_[kc] = p.exec_end;
-  if (rem.down > 0.0) {
-    cloud_send_[kc] = p.done;
-    edge_recv_[o] = p.done;
-  }
-  return p.done;
+  const Choice c{target, rem, project_detail(platform, f, target, rem)};
+  apply(static_cast<std::size_t>(f.job->origin), c);
+  return c.legs.done;
 }
 
 bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
                                int target, Time now) const {
-  const RemainingAmounts rem = remaining_on(f, target);
-  const auto o = static_cast<std::size_t>(f.job->origin);
+  return starts_at(static_cast<std::size_t>(f.job->origin), target,
+                   remaining_on(f, target), now);
+}
+
+bool ResourceClock::starts_at(std::size_t o, int target,
+                              const RemainingAmounts& rem, Time now) const {
   if (target == kAllocEdge) {
     return time_le(edge_cpu_[o], now);
   }
@@ -237,6 +250,19 @@ bool ResourceClock::starts_now(const Platform& /*platform*/, const JobFields& f,
     return time_le(cloud_cpu_[kc], now);
   }
   return time_le(cloud_send_[kc], now) && time_le(edge_recv_[o], now);
+}
+
+Time ResourceClock::fresh_floor(const Job& job, Time edge_send,
+                                Time edge_recv) const {
+  // fill_fresh's steps with cloud kc's lanes dropped from each max and
+  // its speed raised to the fastest. Each step is a max or a correctly
+  // rounded add or divide, monotone in every operand, so dropping a max
+  // operand or shrinking the quotient can only lower the result: the
+  // floor is <= every cloud's completion, bit for bit.
+  const Time up_end = job.up > 0.0 ? edge_send + job.up : now_;
+  const Time exec_end = up_end + job.work / max_cloud_speed_;
+  return job.down > 0.0 ? max_value(exec_end, edge_recv) + job.down
+                        : exec_end;
 }
 
 void ResourceClock::fill_fresh(const std::vector<double>& speeds,
@@ -274,21 +300,41 @@ void ResourceClock::fill_fresh(const std::vector<double>& speeds,
   }
 }
 
-std::pair<int, Time> ResourceClock::best_target_sticky(
-    const Platform& platform, const JobFields& f) {
+ResourceClock::Choice ResourceClock::choose(const Platform& platform,
+                                            const JobFields& f) {
   const Job& job = *f.job;
   const auto o = static_cast<std::size_t>(job.origin);
   const Time edge_send = edge_send_[o];
   const Time edge_recv = edge_recv_[o];
   const std::vector<double>& speeds = platform.cloud_speeds();
-  const Time edge_done =
-      edge_cpu_[o] +
-      (f.alloc == kAllocEdge ? clamp_amount(f.rem_work) : job.work) /
-          platform.edge_speed(job.origin);
+  Choice edge{kAllocEdge, remaining_on(f, kAllocEdge), {}};
+  edge.legs.up_end = edge_cpu_[o];
+  edge.legs.exec_end =
+      edge_cpu_[o] + edge.rem.work / platform.edge_speed(job.origin);
+  edge.legs.done = edge.legs.exec_end;
+
+  // Candidate order matters: the current allocation is evaluated first and
+  // other targets must be *strictly* better (beyond tolerance) to win. An
+  // unassigned job's first candidate, the edge, always wins.
+  Choice best = edge;
+  if (is_cloud_alloc(f.alloc)) {
+    const auto kc = static_cast<std::size_t>(f.alloc);
+    const RemainingAmounts rem = remaining_on(f, f.alloc);
+    const Projection keep =
+        cloud_legs(kc, outages_of(f.alloc), rem.up, rem.work / speeds[kc],
+                   rem.down, edge_send, edge_recv);
+    if (!(edge.legs.done < keep.done - kDecisionMargin)) {
+      best = Choice{f.alloc, rem, keep};
+    }
+  }
+  Time threshold = best.legs.done - kDecisionMargin;
 
   // Fresh restarts on every cloud (the uplink is resent). f.alloc's entry
   // is computed too, then set to +inf below, which no target can lose to.
+  // Without outages, none is computed when none can beat the floor.
+  if (fresh_.empty()) return best;
   if (outages_ == nullptr) {
+    if (!(fresh_floor(job, edge_send, edge_recv) < threshold)) return best;
     fill_fresh(speeds, job, edge_send, edge_recv);
   } else {
     for (std::size_t kc = 0; kc < fresh_.size(); ++kc) {
@@ -298,42 +344,41 @@ std::pair<int, Time> ResourceClock::best_target_sticky(
                        .done;
     }
   }
-
-  // Candidate order matters: the current allocation is evaluated first and
-  // other targets must be *strictly* better (beyond tolerance) to win.
-  int best_target = kAllocEdge;
-  Time best = kTimeInfinity;
-  Time threshold = kTimeInfinity;  // best - kDecisionMargin
-  const auto consider = [&](int target, Time done) {
-    if (done < threshold) [[unlikely]] {
-      best = done;
-      best_target = target;
-      threshold = best - kDecisionMargin;
-    }
-  };
   if (is_cloud_alloc(f.alloc)) {
-    const auto kc = static_cast<std::size_t>(f.alloc);
-    best_target = f.alloc;
-    best = cloud_legs(kc, outages_of(f.alloc), clamp_amount(f.rem_up),
-                      clamp_amount(f.rem_work) / speeds[kc],
-                      clamp_amount(f.rem_down), edge_send, edge_recv)
-               .done;
-    threshold = best - kDecisionMargin;
-    consider(kAllocEdge, edge_done);
-    fresh_[kc] = kTimeInfinity;  // never wins: skips f.alloc below
-  } else if (f.alloc == kAllocEdge) {
-    best = edge_done;
-    threshold = best - kDecisionMargin;
-  } else {
-    consider(kAllocEdge, edge_done);
+    fresh_[static_cast<std::size_t>(f.alloc)] = kTimeInfinity;
   }
   // A branch, not a select: a select would chain every cloud's compare
   // through `threshold`, while the branch is taken only on the (few)
   // improvements.
+  std::size_t winner = fresh_.size();
   for (std::size_t kc = 0; kc < fresh_.size(); ++kc) {
-    consider(static_cast<CloudId>(kc), fresh_[kc]);
+    if (fresh_[kc] < threshold) [[unlikely]] {
+      winner = kc;
+      threshold = fresh_[kc] - kDecisionMargin;
+    }
   }
-  return {best_target, best};
+  if (winner == fresh_.size()) return best;
+  const RemainingAmounts rem{job.up, job.work, job.down};
+  return Choice{static_cast<CloudId>(winner), rem,
+                cloud_legs(winner, outages_of(static_cast<CloudId>(winner)),
+                           rem.up, rem.work / speeds[winner], rem.down,
+                           edge_send, edge_recv)};
+}
+
+std::pair<int, Time> ResourceClock::best_target_sticky(
+    const Platform& platform, const JobFields& f) {
+  const Choice c = choose(platform, f);
+  return {c.target, c.legs.done};
+}
+
+std::pair<int, Time> ResourceClock::place(const Platform& platform,
+                                          const JobFields& f, Time now,
+                                          bool* immediate) {
+  const Choice c = choose(platform, f);
+  const auto o = static_cast<std::size_t>(f.job->origin);
+  if (immediate != nullptr) *immediate = starts_at(o, c.target, c.rem, now);
+  apply(o, c);
+  return {c.target, c.legs.done};
 }
 
 }  // namespace ecs

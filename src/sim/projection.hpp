@@ -26,6 +26,15 @@
 
 namespace ecs {
 
+/// Remaining amounts of the job if (re)started on `target`:
+/// {uplink time, work, downlink time}. Applies the re-execution rule.
+struct RemainingAmounts {
+  double up = 0.0;
+  double work = 0.0;
+  double down = 0.0;
+};
+[[nodiscard]] RemainingAmounts remaining_on(const JobFields& f, int target);
+
 /// Completion time of an activity of length `duration` started at `start`
 /// when the resource is unavailable during `outages` (may be nullptr or
 /// empty): processing suspends inside outage windows and resumes after
@@ -50,6 +59,12 @@ namespace ecs {
 [[nodiscard]] Time best_uncontended_completion(const Platform& platform,
                                                const JobFields& f, Time now);
 
+/// The same, with `fastest` = fastest_cloud(platform) looked up once by a
+/// caller that bounds many jobs.
+[[nodiscard]] Time best_uncontended_completion(const Platform& platform,
+                                               const JobFields& f, Time now,
+                                               CloudId fastest);
+
 /// Index of the fastest cloud processor, or -1 when the platform has none.
 [[nodiscard]] CloudId fastest_cloud(const Platform& platform);
 
@@ -58,10 +73,11 @@ namespace ecs {
 /// The clock is reusable: policies bind() it once per simulation (sizing
 /// the per-resource arrays, capturing the outage windows) and then reset()
 /// it at every projection pass. reset() fills every lane with `now` — O(m)
-/// for m edges plus clouds, which a pass pays anyway: every
-/// best_target_sticky() call reads every cloud's lanes, so a pass over ℓ
-/// jobs already costs Θ(ℓ·m). A reset clock is therefore identical to a
-/// newly constructed one, with no allocation.
+/// for m edges plus clouds, the cost of one best_target_sticky() call that
+/// scans the clouds. A reset clock is therefore identical to a newly
+/// constructed one, with no allocation.
+///
+/// Every call takes the platform the clock was bound to.
 class ResourceClock {
  public:
   /// Unbound clock; bind() must run before any projection.
@@ -86,6 +102,15 @@ class ResourceClock {
   /// lanes with `now`.
   void reset(Time now) noexcept;
 
+  /// Same time and same lanes (the scratch array is not state).
+  [[nodiscard]] bool operator==(const ResourceClock& other) const noexcept {
+    return now_ == other.now_ && edge_cpu_ == other.edge_cpu_ &&
+           edge_send_ == other.edge_send_ && edge_recv_ == other.edge_recv_ &&
+           cloud_cpu_ == other.cloud_cpu_ &&
+           cloud_send_ == other.cloud_send_ &&
+           cloud_recv_ == other.cloud_recv_;
+  }
+
   /// True once bind() (or a sizing constructor) has run.
   [[nodiscard]] bool bound() const noexcept { return bound_; }
 
@@ -105,14 +130,24 @@ class ResourceClock {
   /// than kDecisionMargin — so a policy merely re-confirming its decisions
   /// never discards progress through the re-execution rule.
   ///
-  /// Equal to the per-target loop over project() bit for bit. A first
-  /// loop writes every cloud's fresh-restart completion into a scratch
-  /// array (without outages: one branch-free pass over the lanes, the
-  /// same operations as cloud_legs); the selection loop then scans that
-  /// array once, with a branch taken only on an improvement. Non-const
-  /// only for the scratch array: the clocks are not modified.
+  /// Equal to the per-target loop over project() bit for bit. Without
+  /// outages, an O(1) floor under every cloud's fresh-restart completion
+  /// is tested first: when it cannot beat the keep/edge candidate, no
+  /// cloud is scanned (DESIGN.md §6). Otherwise a first loop writes every
+  /// cloud's fresh-restart completion into a scratch array (without
+  /// outages: one branch-free pass over the lanes, the same operations as
+  /// cloud_legs); the selection loop then scans that array once, with a
+  /// branch taken only on an improvement. Non-const only for the scratch
+  /// array: the clocks are not modified.
   [[nodiscard]] std::pair<int, Time> best_target_sticky(
       const Platform& platform, const JobFields& f);
+
+  /// best_target_sticky, then starts_now (into `*immediate`, unless null)
+  /// and commit on the chosen target, in one call: the commit reuses the
+  /// winner's legs from the selection. Returns what best_target_sticky
+  /// returns.
+  std::pair<int, Time> place(const Platform& platform, const JobFields& f,
+                             Time now, bool* immediate = nullptr);
 
   [[nodiscard]] Time edge_cpu(EdgeId j) const {
     return edge_cpu_[static_cast<std::size_t>(j)];
@@ -135,9 +170,23 @@ class ResourceClock {
     Time exec_end;
     Time done;
   };
+  /// A selected target with the amounts it was projected from and the
+  /// legs of that projection.
+  struct Choice {
+    int target;
+    RemainingAmounts rem;
+    Projection legs;
+  };
   [[nodiscard]] Projection project_detail(const Platform& platform,
-                                          const JobFields& f,
-                                          int target) const;
+                                          const JobFields& f, int target,
+                                          const RemainingAmounts& rem) const;
+  /// best_target_sticky's selection, with the winner's legs.
+  [[nodiscard]] Choice choose(const Platform& platform, const JobFields& f);
+  /// Advances the clocks a commit of `c` for a job from edge `o` moves.
+  void apply(std::size_t o, const Choice& c) noexcept;
+  /// starts_now with the amounts already resolved.
+  [[nodiscard]] bool starts_at(std::size_t o, int target,
+                               const RemainingAmounts& rem, Time now) const;
   /// Legs of a projection onto cloud `kc` from amounts already resolved
   /// against the re-execution rule; `edge_send` / `edge_recv` are the
   /// origin edge's port lanes.
@@ -145,6 +194,11 @@ class ResourceClock {
                                       const IntervalSet* outages, double up,
                                       double exec_time, double down,
                                       Time edge_send, Time edge_recv) const;
+  /// A lower bound on every cloud's fresh-restart completion of `job`
+  /// (no outages): fill_fresh with each cloud's own lanes dropped and its
+  /// speed raised to the fastest.
+  [[nodiscard]] Time fresh_floor(const Job& job, Time edge_send,
+                                 Time edge_recv) const;
   /// Fills fresh_ with every cloud's fresh-restart completion of `job`
   /// (no outages).
   void fill_fresh(const std::vector<double>& speeds, const Job& job,
@@ -166,17 +220,9 @@ class ResourceClock {
   /// best_target_sticky's per-cloud completions (sized by bind()).
   std::vector<Time> fresh_;
   const std::vector<IntervalSet>* outages_ = nullptr;
+  double max_cloud_speed_ = 0.0;  ///< of the bound platform
   bool bound_ = false;
   Time now_ = 0.0;
 };
-
-/// Remaining amounts of the job if (re)started on `target`:
-/// {uplink time, work, downlink time}. Applies the re-execution rule.
-struct RemainingAmounts {
-  double up = 0.0;
-  double work = 0.0;
-  double down = 0.0;
-};
-[[nodiscard]] RemainingAmounts remaining_on(const JobFields& f, int target);
 
 }  // namespace ecs

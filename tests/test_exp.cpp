@@ -97,6 +97,41 @@ TEST(Batch, OneThreadRunsOnTheCallingThread) {
   EXPECT_EQ(finished, 10);
 }
 
+TEST(Batch, WallSecondsMeasureServiceNotResidence) {
+  // One worker steps its two resident worlds a few rounds at a time, in
+  // turn. Each world is timed over its own prepare, visits and finish:
+  // disjoint stretches of run() on one clock, so the times of all worlds
+  // add up to no more than run()'s wall time. Timed from launch to finish
+  // instead, each world would also count its neighbour's rounds, and the
+  // sum would come to about twice the wall time.
+  RandomInstanceConfig cfg;
+  cfg.n = 200;
+  cfg.cloud_count = 4;
+  Rng rng(5);
+  const Instance instance = make_random_instance(cfg, rng);
+  BatchOptions options = batch_options(1);
+  options.rounds_per_visit = 4;
+  BatchEngine batch(
+      1, [](std::size_t) { return make_policy("ssf-edf"); }, options);
+  std::vector<double> service(8, 0.0);
+  const auto t0 = std::chrono::steady_clock::now();
+  batch.run(
+      service.size(),
+      [&](std::size_t, Instance& world, WorldSetup&) { world = instance; },
+      [&](std::size_t i, const Instance&, SimResult&, double wall_seconds) {
+        service[i] = wall_seconds;
+      });
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  double total = 0.0;
+  for (const double s : service) {
+    EXPECT_GT(s, 0.0);
+    total += s;
+  }
+  EXPECT_LE(total, wall + 1e-6);
+}
+
 TEST(Batch, ZeroWorldsIsANoop) {
   BatchEngine batch(1, srpt_or_park, batch_options(4));
   batch.run(

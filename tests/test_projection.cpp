@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -351,6 +352,165 @@ TEST(Projection, ResetClockMatchesFreshlyConstructedClock) {
                         kAllocEdge, platform.cloud_count() - 1));
           ASSERT_EQ(reused.commit(platform, f, target),
                     fresh.commit(platform, f, target));
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------ the fresh-cloud floor
+//
+// Without outages, best_target_sticky skips the cloud scan when a floor
+// under every cloud's fresh-restart completion cannot beat the keep/edge
+// candidate. These cases sit on each side of that test; every one must
+// agree with the per-target oracle, and place() with
+// best_target_sticky + starts_now + commit.
+
+/// Checks best_target_sticky on `clock` against `want` and the oracle, and
+/// place() against starts_now + commit, each on a copy of `clock`.
+void expect_choice(const Platform& platform, const ResourceClock& clock,
+                   const JobFields& f, std::pair<int, Time> want) {
+  ResourceClock split = clock;
+  ResourceClock fused = clock;
+  const auto got = split.best_target_sticky(platform, f);
+  EXPECT_EQ(got.first, want.first);
+  EXPECT_EQ(got.second, want.second);
+  EXPECT_EQ(got, best_target_per_target(platform, clock, f));
+  const Time now = 0.0;
+  const bool immediate = split.starts_now(platform, f, got.first, now);
+  EXPECT_EQ(split.commit(platform, f, got.first), got.second);
+  bool placed_immediate = !immediate;
+  EXPECT_EQ(fused.place(platform, f, now, &placed_immediate), got);
+  EXPECT_EQ(placed_immediate, immediate);
+  EXPECT_TRUE(fused == split);
+}
+
+/// One edge of speed 1 and clouds of speeds 1 and 2: cloud 1 is the
+/// fastest, and a job of work 4 takes 4 on the edge and 2 on cloud 1.
+Platform floor_platform() {
+  return Platform({1.0}, std::vector<double>{1.0, 2.0});
+}
+
+TEST(ProjectionFloor, FloorEqualToThresholdKeepsTheEdge) {
+  const Platform platform = floor_platform();
+  const ResourceClock clock(platform, 0.0);
+  // The edge finishes at 4, so a cloud must finish before 4 - margin. With
+  // uplink 4 - margin - 2 (exact: both operands lie in [2, 4]), cloud 1
+  // and the floor both finish exactly there, which is not better.
+  const Time threshold = 4.0 - kDecisionMargin;
+  const Job job{0, 0, 4.0, 0.0, threshold - 2.0, 0.0};
+  ASSERT_EQ(job.up + 2.0, threshold);
+  expect_choice(platform, clock, unassigned(platform, job), {kAllocEdge, 4.0});
+}
+
+TEST(ProjectionFloor, FloorOneUlpBelowThresholdPicksTheCloud) {
+  const Platform platform = floor_platform();
+  const ResourceClock clock(platform, 0.0);
+  const Time threshold = 4.0 - kDecisionMargin;
+  const Time below = std::nextafter(threshold, 0.0);
+  const Job job{0, 0, 4.0, 0.0, below - 2.0, 0.0};
+  ASSERT_EQ(job.up + 2.0, below);
+  expect_choice(platform, clock, unassigned(platform, job), {1, below});
+}
+
+TEST(ProjectionFloor, FloorBelowThresholdWithTheFastestCloudBusy) {
+  // Mixed speeds: the floor assumes the fastest cloud is free, so it lies
+  // below the edge's 4; the scan then finds cloud 1 busy until 10 and
+  // cloud 0 at 1 + 4, and the edge keeps the job.
+  const Platform platform = floor_platform();
+  ResourceClock clock(platform, 0.0);
+  const Job blocker{1, 0, 20.0, 0.0, 0.0, 0.0};
+  (void)clock.commit(platform, unassigned(platform, blocker), 1);
+  const Job job{0, 0, 4.0, 0.0, 1.0, 0.0};
+  expect_choice(platform, clock, unassigned(platform, job), {kAllocEdge, 4.0});
+}
+
+TEST(ProjectionFloor, ZeroLegJobsIgnoreBusyEdgePorts) {
+  // Other jobs hold the edge's send port until 10 and its receive port
+  // until 14. A job with no uplink and no downlink uses neither, so cloud
+  // 1 still completes it at 0 + 4 / 2; a floor that charged either port
+  // would wrongly skip the scan and leave it on the edge.
+  const Platform platform = floor_platform();
+  ResourceClock clock(platform, 0.0);
+  const Job sender{1, 0, 1.0, 0.0, 10.0, 0.0};
+  (void)clock.commit(platform, unassigned(platform, sender), 0);
+  const Job receiver{2, 0, 1.0, 0.0, 0.0, 2.0};
+  (void)clock.commit(platform, unassigned(platform, receiver), 0);
+  const Job job{0, 0, 4.0, 0.0, 0.0, 0.0};
+  expect_choice(platform, clock, unassigned(platform, job), {1, 2.0});
+  // With a downlink of 1 the job waits for the receive port: 14 + 1 on
+  // either cloud.
+  const Job down_job{3, 0, 4.0, 0.0, 0.0, 1.0};
+  expect_choice(platform, clock, unassigned(platform, down_job),
+                {kAllocEdge, 4.0});
+}
+
+TEST(ProjectionFloor, OwnCloudIsTheFastest) {
+  const Platform platform({1.0}, std::vector<double>{1.5, 2.0});
+  const Job job{0, 0, 4.0, 0.0, 1.0, 0.0};
+  JobFields f = unassigned(platform, job);
+  f.alloc = 1;  // uploaded to the fastest cloud, a quarter of the work left
+  f.rem_up = 0.0;
+  f.rem_work = 1.0;
+  f.rem_down = 0.0;
+  ResourceClock clock(platform, 0.0);
+  // Keep: 1 / 2. Every restart takes at least 1 + 4 / 2: no scan needed.
+  expect_choice(platform, clock, f, {1, 0.5});
+  // Cloud 1 busy until 10: keep 10.5 loses to the edge's 4, which loses
+  // to a restart on cloud 0 at 1 + 4 / 1.5.
+  const Job blocker{1, 0, 20.0, 0.0, 0.0, 0.0};
+  (void)clock.commit(platform, unassigned(platform, blocker), 1);
+  expect_choice(platform, clock, f, {0, 1.0 + 4.0 / 1.5});
+}
+
+// place() is best_target_sticky, starts_now and commit in one call: same
+// target, completion and start flag, and the same lanes after, with and
+// without outages.
+TEST(ProjectionFloor, PlaceMatchesSelectStartAndCommit) {
+  const std::vector<std::vector<double>> speed_sets = cloud_speed_sets();
+  for (std::size_t set = 0; set < speed_sets.size(); ++set) {
+    for (const bool outages : {false, true}) {
+      SCOPED_TRACE(std::to_string(speed_sets[set].size()) + " clouds, set " +
+                   std::to_string(set) + (outages ? " +outages" : ""));
+      Rng rng(set * 2 + outages + 53);
+      const Instance instance =
+          make_projection_instance(speed_sets[set], outages, rng);
+      const Platform& platform = instance.platform;
+      ResourceClock split(instance, 0.0);
+      ResourceClock fused(instance, 0.0);
+      for (int pass = 0; pass < 40; ++pass) {
+        const Time now = rng.uniform(0.0, 30.0);
+        split.reset(now);
+        fused.reset(now);
+        const int commits = static_cast<int>(rng.uniform_int(0, 16));
+        for (int i = 0; i <= commits; ++i) {
+          Job job;
+          const JobFields f = random_fields(platform, rng, job);
+          if (rng.bernoulli(0.25)) {
+            // A random target, so the passes reach clock states the
+            // best-target choice alone would not.
+            const int target = static_cast<int>(
+                rng.uniform_int(kAllocEdge, platform.cloud_count() - 1));
+            ASSERT_EQ(split.commit(platform, f, target),
+                      fused.commit(platform, f, target));
+            continue;
+          }
+          const auto want = split.best_target_sticky(platform, f);
+          const bool immediate =
+              split.starts_now(platform, f, want.first, now);
+          ASSERT_EQ(split.commit(platform, f, want.first), want.second);
+          // Half the calls pass no flag, as SSF-EDF's probes do.
+          const bool ask = rng.bernoulli(0.5);
+          bool got_immediate = !immediate;
+          const auto got =
+              fused.place(platform, f, now, ask ? &got_immediate : nullptr);
+          ASSERT_EQ(got.first, want.first) << "pass " << pass << " job " << i;
+          ASSERT_EQ(got.second, want.second) << "pass " << pass << " job " << i;
+          if (ask) {
+            ASSERT_EQ(got_immediate, immediate)
+                << "pass " << pass << " job " << i;
+          }
+          ASSERT_TRUE(fused == split) << "pass " << pass << " job " << i;
         }
       }
     }
