@@ -14,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "sched/factory.hpp"
-#include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
 namespace {
@@ -41,33 +40,18 @@ int run(int argc, char** argv) {
       {"bursty", ReleaseProcess::kBursty},
   };
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
+  std::vector<bench::FigurePoint> points;
   for (const auto& [label, process] : processes) {
     RandomInstanceConfig cfg;
     cfg.n = n;
     cfg.ccr = 1.0;
     cfg.load = load;
     cfg.release_process = process;
-    const InstanceFactory factory = [cfg](std::uint64_t seed) {
-      Rng rng(seed);
-      return make_random_instance(cfg, rng);
-    };
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = label;
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(label, factory, policies,
-                                     sweep));
-    std::cout << "  [done] " << label << "\n";
+    points.emplace_back(label, bench::random_instances(cfg));
   }
-  std::cout << "\n";
-  bench::report_sweep(points, policies, options, "arrivals");
-  return bench::write_trace_artifacts(options, policies, trace_label,
-                                      trace_factory);
+  bench::report_sweep(bench::run_points(options, policies, "", points),
+                      policies, options, "arrivals");
+  return bench::write_trace_artifacts(options, policies, points);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "sched/factory.hpp"
-#include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
 namespace {
@@ -31,33 +30,19 @@ int run(int argc, char** argv) {
           ", CCR = 1, load 0.25 (load horizon scales with capacity)",
       options.sweep.replications, options.sweep.base_seed);
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
+  std::vector<bench::FigurePoint> points;
   for (std::int64_t clouds : cloud_sizes) {
     RandomInstanceConfig cfg;
     cfg.n = n;
     cfg.ccr = 1.0;
     cfg.load = 0.25;
     cfg.cloud_count = static_cast<int>(clouds);
-    const InstanceFactory factory = [cfg](std::uint64_t seed) {
-      Rng rng(seed);
-      return make_random_instance(cfg, rng);
-    };
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = std::to_string(clouds);
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(std::to_string(clouds), factory,
-                                     policies, sweep));
-    std::cout << "  [done] clouds = " << clouds << "\n";
+    points.emplace_back(std::to_string(clouds), bench::random_instances(cfg));
   }
-  std::cout << "\n";
-  bench::report_sweep(points, policies, options, "clouds");
-  return bench::write_trace_artifacts(options, policies, trace_label,
-                                      trace_factory);
+  bench::report_sweep(
+      bench::run_points(options, policies, "clouds = ", points), policies,
+      options, "clouds");
+  return bench::write_trace_artifacts(options, policies, points);
 }
 
 }  // namespace

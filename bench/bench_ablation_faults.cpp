@@ -13,6 +13,7 @@
 //
 // Flags: --reps, --seed, --n, --rate=0,0.002,..., --repair=100
 #include <iostream>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "sched/factory.hpp"
@@ -26,7 +27,7 @@ namespace {
 int run(int argc, char** argv) {
   using namespace ecs;
   const Args args = Args::parse(argc, argv);
-  const bench::CommonOptions base_options = bench::parse_common(args, 5);
+  const bench::CommonOptions options = bench::parse_common(args, 5);
   const int n = static_cast<int>(args.get_int("n", 600));
   const double mean_repair = args.get_double("repair", 100.0);
   const std::vector<double> rates =
@@ -41,26 +42,17 @@ int run(int argc, char** argv) {
           ", CCR = 0.5, load 0.25; per-cloud crash rate as given, mean "
           "repair " + format_double(mean_repair, 1) +
           "; faults are unannounced (engine-injected)",
-      base_options.sweep.replications, base_options.sweep.base_seed);
+      options.sweep.replications, options.sweep.base_seed);
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
-  bench::CommonOptions trace_options = base_options;
+  std::vector<bench::FigurePoint> points;
   for (double rate : rates) {
     RandomInstanceConfig cfg;
     cfg.n = n;
     cfg.ccr = 0.5;
     cfg.load = 0.25;
-    const InstanceFactory factory = [cfg](std::uint64_t seed) {
-      Rng rng(seed);
-      return make_random_instance(cfg, rng);
-    };
-    bench::CommonOptions options = base_options;
+    FaultPlanFactory faults;
     if (rate > 0.0) {
-      const double load = cfg.load;
-      options.sweep.fault_factory = [rate, mean_repair, load](
-                                        const Instance& instance,
+      faults = [rate, mean_repair, cfg](const Instance& instance,
                                         std::uint64_t seed) {
         double total_work = 0.0;
         for (const Job& job : instance.jobs) total_work += job.work;
@@ -69,9 +61,8 @@ int run(int argc, char** argv) {
         fault_cfg.mean_repair = mean_repair;
         fault_cfg.loss_rate = rate;
         // Cover the full busy period with margin.
-        fault_cfg.horizon =
-            2.0 * release_horizon(total_work,
-                                  instance.platform.total_speed(), load);
+        fault_cfg.horizon = 2.0 * release_horizon(
+            total_work, instance.platform.total_speed(), cfg.load);
         // Derive the fault stream from a distinct sub-seed so the plan is
         // independent of the instance draw but still replayable.
         Rng rng(derive_seed(seed, hash_tag("faults")));
@@ -79,21 +70,12 @@ int run(int argc, char** argv) {
                                rng);
       };
     }
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = format_double(rate, 4);
-      trace_options = options;
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(format_double(rate, 4), factory,
-                                     policies, sweep));
-    std::cout << "  [done] rate = " << format_double(rate, 4) << "\n";
+    points.emplace_back(format_double(rate, 4), bench::random_instances(cfg),
+                        std::move(faults));
   }
-  std::cout << "\n";
-  bench::report_sweep(points, policies, base_options, "crash-rate");
-  return bench::write_trace_artifacts(trace_options, policies, trace_label,
-                                      trace_factory);
+  bench::report_sweep(bench::run_points(options, policies, "rate = ", points),
+                      policies, options, "crash-rate");
+  return bench::write_trace_artifacts(options, policies, points);
 }
 
 }  // namespace

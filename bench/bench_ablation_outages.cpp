@@ -37,9 +37,7 @@ int run(int argc, char** argv) {
           "fraction of time",
       options.sweep.replications, options.sweep.base_seed);
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
+  std::vector<bench::FigurePoint> points;
   for (double fraction : fractions) {
     RandomInstanceConfig cfg;
     cfg.n = n;
@@ -63,21 +61,12 @@ int run(int argc, char** argv) {
       }
       return instance;
     };
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = format_double(fraction, 3);
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(format_double(fraction, 3), factory,
-                                     policies, sweep));
-    std::cout << "  [done] fraction = " << format_double(fraction, 3)
-              << "\n";
+    points.emplace_back(format_double(fraction, 3), factory);
   }
-  std::cout << "\n";
-  bench::report_sweep(points, policies, options, "outage-frac");
-  return bench::write_trace_artifacts(options, policies, trace_label,
-                                      trace_factory);
+  bench::report_sweep(
+      bench::run_points(options, policies, "fraction = ", points), policies,
+      options, "outage-frac");
+  return bench::write_trace_artifacts(options, policies, points);
 }
 
 }  // namespace

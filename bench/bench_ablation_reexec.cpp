@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "sched/factory.hpp"
-#include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
 namespace {
@@ -31,36 +30,22 @@ int run(int argc, char** argv) {
                          ", CCR = 1, load sweep",
                      options.sweep.replications, options.sweep.base_seed);
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
+  std::vector<bench::FigurePoint> points;
   for (double load : loads) {
     RandomInstanceConfig cfg;
     cfg.n = n;
     cfg.ccr = 1.0;
     cfg.load = load;
-    const InstanceFactory factory = [cfg](std::uint64_t seed) {
-      Rng rng(seed);
-      return make_random_instance(cfg, rng);
-    };
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = format_double(load, 3);
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(format_double(load, 3), factory,
-                                     policies, sweep));
-    std::cout << "  [done] load = " << format_double(load, 3) << "\n";
+    points.emplace_back(format_double(load, 3), bench::random_instances(cfg));
   }
-  std::cout << "\n";
-  bench::report_sweep(points, policies, options, "load");
-  const int status = bench::write_trace_artifacts(
-      options, policies, trace_label, trace_factory);
+  const std::vector<SweepPointResult> results =
+      bench::run_points(options, policies, "load = ", points);
+  bench::report_sweep(results, policies, options, "load");
+  const int status = bench::write_trace_artifacts(options, policies, points);
 
   std::cout << "re-executions per instance (mean)\n";
   Table table({"load", "srpt", "srpt-noreexec"});
-  for (const SweepPointResult& point : points) {
+  for (const SweepPointResult& point : results) {
     table.add_row({point.label,
                    format_double(point.policy("srpt").reassignments.mean(), 1),
                    format_double(

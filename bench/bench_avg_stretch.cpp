@@ -14,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "sched/factory.hpp"
-#include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
 namespace {
@@ -36,43 +35,30 @@ int run(int argc, char** argv) {
           "same runs",
       options.sweep.replications, options.sweep.base_seed);
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
+  std::vector<bench::FigurePoint> points;
   for (double load : loads) {
     RandomInstanceConfig cfg;
     cfg.n = n;
     cfg.ccr = 1.0;
     cfg.load = load;
-    const InstanceFactory factory = [cfg](std::uint64_t seed) {
-      Rng rng(seed);
-      return make_random_instance(cfg, rng);
-    };
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = format_double(load, 3);
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(format_double(load, 3), factory,
-                                     policies, sweep));
-    std::cout << "  [done] load = " << format_double(load, 3) << "\n";
+    points.emplace_back(format_double(load, 3), bench::random_instances(cfg));
   }
-  std::cout << "\n";
+  const std::vector<SweepPointResult> results =
+      bench::run_points(options, policies, "load = ", points);
 
-  ReportOptions mean_options;
-  mean_options.metric = ReportMetric::kMeanStretch;
-  mean_options.x_label = "load";
+  ReportOptions report_options;
+  report_options.x_label = "load";
+  report_options.show_stddev = options.show_stddev;
+  report_options.metric = ReportMetric::kMeanStretch;
+  const Table mean_table = make_report(results, policies, report_options);
   std::cout << "mean stretch\n";
-  make_report(points, policies, mean_options).print(std::cout);
-
-  ReportOptions max_options;
-  max_options.metric = ReportMetric::kMaxStretch;
-  max_options.x_label = "load";
+  mean_table.print(std::cout);
+  report_options.metric = ReportMetric::kMaxStretch;
+  const Table max_table = make_report(results, policies, report_options);
   std::cout << "\nmax stretch (same runs)\n";
-  make_report(points, policies, max_options).print(std::cout);
-  return bench::write_trace_artifacts(options, policies, trace_label,
-                                      trace_factory);
+  max_table.print(std::cout);
+  bench::write_csv(options, {&mean_table, &max_table});
+  return bench::write_trace_artifacts(options, policies, points);
 }
 
 }  // namespace

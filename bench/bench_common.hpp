@@ -1,9 +1,9 @@
 // bench_common.hpp - Shared plumbing for the figure-reproduction binaries.
 //
-// Every bench binary follows the same pattern: parse the common flags,
-// build one InstanceFactory per sweep point, run the sweep, and print a
-// paper-style table (optionally also CSV). Flags understood by all
-// binaries:
+// The figure and ablation binaries share one sweep loop: each parses the
+// common flags, builds one FigurePoint per x value, runs them through
+// run_points and prints a paper-style table (optionally also CSV). Flags
+// understood by all binaries:
 //
 //   --reps=N        replications per point (paper: 1000; defaults are
 //                   smaller so the whole suite finishes on small hosts)
@@ -35,11 +35,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/report.hpp"
@@ -52,6 +54,8 @@
 #include "obs/watchdog.hpp"
 #include "util/args.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
+#include "workloads/random_instances.hpp"
 
 namespace ecs::bench {
 
@@ -167,6 +171,49 @@ inline CommonOptions parse_common(const Args& args, int default_reps) {
   return options;
 }
 
+/// One x value of a figure or ablation sweep.
+struct FigurePoint {
+  FigurePoint(std::string point_label, InstanceFactory point_factory,
+              FaultPlanFactory point_faults = {})
+      : label(std::move(point_label)),
+        factory(std::move(point_factory)),
+        faults(std::move(point_faults)) {}
+
+  std::string label;        ///< table row label and seed-derivation label
+  InstanceFactory factory;  ///< draws the instance of one replication
+  /// This point's unannounced fault plan; empty = the sweep options' own.
+  FaultPlanFactory faults;
+};
+
+/// Factory for make_random_instance(cfg, Rng(seed)).
+inline InstanceFactory random_instances(const RandomInstanceConfig& cfg) {
+  return [cfg](std::uint64_t seed) {
+    Rng rng(seed);
+    return make_random_instance(cfg, rng);
+  };
+}
+
+/// The sweep loop of every figure and ablation binary: runs point i under
+/// point_index = i (so equal labels still draw distinct instances) with
+/// the point's own fault plan when it has one, prints
+/// `  [done] <done_prefix><label>` after each point and a blank line after
+/// the last, and returns the results in point order.
+[[nodiscard]] inline std::vector<SweepPointResult> run_points(
+    const CommonOptions& options, const std::vector<std::string>& policies,
+    const std::string& done_prefix, const std::vector<FigurePoint>& points) {
+  std::vector<SweepPointResult> results;
+  for (const FigurePoint& point : points) {
+    SweepOptions sweep = options.sweep;
+    sweep.point_index = static_cast<int>(results.size());
+    if (point.faults) sweep.fault_factory = point.faults;
+    results.push_back(
+        run_sweep_point(point.label, point.factory, policies, sweep));
+    std::cout << "  [done] " << done_prefix << point.label << "\n";
+  }
+  std::cout << "\n";
+  return results;
+}
+
 /// True when any observability artifact was requested.
 inline bool wants_trace_artifacts(const CommonOptions& options) {
   return !options.trace_path.empty() || !options.trace_jsonl.empty() ||
@@ -174,53 +221,52 @@ inline bool wants_trace_artifacts(const CommonOptions& options) {
          !options.profile_path.empty() || options.watchdog;
 }
 
-/// Re-runs the first replication of the given sweep point with the
-/// requested sinks attached and writes the artifact files. A no-op unless
-/// one of --trace-out / --trace-jsonl / --metrics-out / --metrics-prom /
-/// --watchdog was given. Runs the exact instance (and fault plan) of
-/// replication 0 — `point_index` must be the index the sweep ran the point
-/// under (sweep_seed mixes it) — so the trace shows one of the runs the
-/// sweep aggregated. Returns the process exit status: 0, or 3 when
+/// Opens the artifact file `path` for writing: false when no path was given,
+/// and false with a warning on stderr when the file cannot be opened.
+inline bool open_artifact(std::ofstream& file, const std::string& path,
+                          const char* what) {
+  if (path.empty()) return false;
+  file.open(path);
+  if (!file) std::cerr << "cannot write " << what << " to " << path << "\n";
+  return static_cast<bool>(file);
+}
+
+/// Re-runs replication 0 of `points.front()` — the exact instance and
+/// fault plan run_points swept under point_index 0 — with the requested
+/// sinks attached and writes the artifact files, so the trace shows one of
+/// the runs the sweep aggregated. A no-op unless one of --trace-out /
+/// --trace-jsonl / --metrics-out / --metrics-prom / --profile-out /
+/// --watchdog was given. Returns the process exit status: 0, or 3 when
 /// --watchdog detected an invariant violation (callers `return` it from
 /// main).
 [[nodiscard]] inline int write_trace_artifacts(
     const CommonOptions& options, const std::vector<std::string>& policies,
-    const std::string& label, const InstanceFactory& factory,
-    int point_index = 0) {
-  if (!wants_trace_artifacts(options) || policies.empty() || !factory) {
+    const std::vector<FigurePoint>& points) {
+  if (!wants_trace_artifacts(options) || policies.empty() || points.empty()) {
     return 0;
   }
+  const FigurePoint& point = points.front();
   // Default to the last policy: the binaries list edge-only first, so the
   // last one is a cloud-using heuristic whose trace shows communication
   // spans and flow arrows (override with --trace-policy).
   const std::string policy =
       options.trace_policy.empty() ? policies.back() : options.trace_policy;
   const std::uint64_t seed =
-      sweep_seed(options.sweep.base_seed, point_index, label, 0);
-  const Instance instance = factory(seed);
+      sweep_seed(options.sweep.base_seed, 0, point.label, 0);
+  const Instance instance = point.factory(seed);
 
   std::ofstream perfetto_file;
   std::ofstream jsonl_file;
   std::optional<obs::PerfettoTraceSink> perfetto;
   std::optional<obs::JsonlTraceSink> jsonl;
   obs::TeeTraceSink tee;
-  if (!options.trace_path.empty()) {
-    perfetto_file.open(options.trace_path);
-    if (!perfetto_file) {
-      std::cerr << "cannot write trace to " << options.trace_path << "\n";
-    } else {
-      perfetto.emplace(perfetto_file);
-      tee.add(&*perfetto);
-    }
+  if (open_artifact(perfetto_file, options.trace_path, "trace")) {
+    perfetto.emplace(perfetto_file);
+    tee.add(&*perfetto);
   }
-  if (!options.trace_jsonl.empty()) {
-    jsonl_file.open(options.trace_jsonl);
-    if (!jsonl_file) {
-      std::cerr << "cannot write trace to " << options.trace_jsonl << "\n";
-    } else {
-      jsonl.emplace(jsonl_file);
-      tee.add(&*jsonl);
-    }
+  if (open_artifact(jsonl_file, options.trace_jsonl, "trace")) {
+    jsonl.emplace(jsonl_file);
+    tee.add(&*jsonl);
   }
   obs::MetricsRegistry registry;
   std::optional<obs::InvariantWatchdog> watchdog;
@@ -235,9 +281,9 @@ inline bool wants_trace_artifacts(const CommonOptions& options) {
 
   RunOptions run_options;
   run_options.engine = options.sweep.engine;
-  if (options.sweep.fault_factory) {
-    run_options.engine.faults = options.sweep.fault_factory(instance, seed);
-  }
+  const FaultPlanFactory& faults =
+      point.faults ? point.faults : options.sweep.fault_factory;
+  if (faults) run_options.engine.faults = faults(instance, seed);
   if (!tee.empty()) run_options.engine.trace = &tee;
   run_options.engine.metrics = &registry;
   if (watchdog) run_options.engine.watchdog = &*watchdog;
@@ -247,7 +293,7 @@ inline bool wants_trace_artifacts(const CommonOptions& options) {
   run_options.engine.provenance = true;
   const RunOutcome outcome = run_policy(instance, policy, run_options);
 
-  std::cout << "traced run: policy " << policy << ", point " << label
+  std::cout << "traced run: policy " << policy << ", point " << point.label
             << ", max-stretch "
             << format_double(outcome.metrics.max_stretch, 3) << ", "
             << outcome.stats.events << " events\n";
@@ -264,41 +310,43 @@ inline bool wants_trace_artifacts(const CommonOptions& options) {
     // The metrics artifacts below carry the profile too (engine.profile.*
     // series), so one traced run yields one coherent snapshot.
     report.to_metrics(registry);
-    if (!options.profile_path.empty()) {
-      std::ofstream profile_file(options.profile_path);
-      if (!profile_file) {
-        std::cerr << "cannot write profile to " << options.profile_path
-                  << "\n";
-      } else {
-        report.write_json(profile_file);
-        std::cout << "  profile JSON   -> " << options.profile_path
-                  << "  (render with tools/trace_inspect --profile)\n";
-      }
+    std::ofstream profile_file;
+    if (open_artifact(profile_file, options.profile_path, "profile")) {
+      report.write_json(profile_file);
+      std::cout << "  profile JSON   -> " << options.profile_path
+                << "  (render with tools/trace_inspect --profile)\n";
     }
   }
-  if (!options.metrics_path.empty()) {
-    std::ofstream metrics_file(options.metrics_path);
-    if (!metrics_file) {
-      std::cerr << "cannot write metrics to " << options.metrics_path << "\n";
-    } else {
-      registry.write_json(metrics_file);
-      std::cout << "  metrics JSON   -> " << options.metrics_path << "\n";
-    }
+  std::ofstream metrics_file;
+  if (open_artifact(metrics_file, options.metrics_path, "metrics")) {
+    registry.write_json(metrics_file);
+    std::cout << "  metrics JSON   -> " << options.metrics_path << "\n";
   }
-  if (!options.metrics_prom.empty()) {
-    std::ofstream prom_file(options.metrics_prom);
-    if (!prom_file) {
-      std::cerr << "cannot write metrics to " << options.metrics_prom << "\n";
-    } else {
-      registry.write_prometheus(prom_file);
-      std::cout << "  Prometheus     -> " << options.metrics_prom << "\n";
-    }
+  std::ofstream prom_file;
+  if (open_artifact(prom_file, options.metrics_prom, "metrics")) {
+    registry.write_prometheus(prom_file);
+    std::cout << "  Prometheus     -> " << options.metrics_prom << "\n";
   }
   if (watchdog) {
     watchdog->report(std::cout);
     if (!watchdog->ok()) return 3;
   }
   return 0;
+}
+
+/// Writes `tables` to the --csv file, separated by blank lines; a no-op
+/// without the flag.
+inline void write_csv(const CommonOptions& options,
+                      std::initializer_list<const Table*> tables) {
+  std::ofstream csv;
+  if (!open_artifact(csv, options.csv_path, "CSV")) return;
+  const char* separator = "";
+  for (const Table* table : tables) {
+    csv << separator;
+    table->write_csv(csv);
+    separator = "\n";
+  }
+  std::cout << "CSV written to " << options.csv_path << "\n";
 }
 
 /// Prints the stretch table and the scheduling-time table for a finished
@@ -331,19 +379,7 @@ inline void report_sweep(const std::vector<SweepPointResult>& points,
   quantile_table.print(std::cout);
   std::cout << "\n";
 
-  if (!options.csv_path.empty()) {
-    std::ofstream csv(options.csv_path);
-    if (!csv) {
-      std::cerr << "cannot write CSV to " << options.csv_path << "\n";
-    } else {
-      stretch_table.write_csv(csv);
-      csv << "\n";
-      time_table.write_csv(csv);
-      csv << "\n";
-      quantile_table.write_csv(csv);
-      std::cout << "CSV written to " << options.csv_path << "\n";
-    }
-  }
+  write_csv(options, {&stretch_table, &time_table, &quantile_table});
 }
 
 }  // namespace ecs::bench

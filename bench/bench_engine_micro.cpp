@@ -71,10 +71,11 @@ ecs::FixedPolicy make_fixed_policy(const ecs::Instance& instance) {
 /// O(|events|) policy: allocates each job once, at its release, and stays
 /// silent otherwise. Unlike FixedPolicy (one directive per job per
 /// decision), its cost does not grow with n, so the sparse series measures
-/// the engine and not the policy.
+/// the engine and not the policy. With `elide` false it opts out of no-op
+/// round elision and decide() runs every round.
 class OnReleasePolicy final : public ecs::Policy {
  public:
-  explicit OnReleasePolicy(int clouds) : clouds_(clouds) {}
+  OnReleasePolicy(int clouds, bool elide) : clouds_(clouds), elide_(elide) {}
   [[nodiscard]] std::string name() const override { return "OnRelease"; }
   void decide(const ecs::SimView& view,
               const std::vector<ecs::Event>& events,
@@ -93,6 +94,7 @@ class OnReleasePolicy final : public ecs::Policy {
   /// Pure function of the release events alone: rounds without a release
   /// provably emit nothing, so the engine may skip decide() entirely.
   [[nodiscard]] ecs::ElisionContract elision() const override {
+    if (!elide_) return {};
     return ecs::ElisionContract{
         ecs::ElisionContract::Mode::kEmptyUnlessTriggered,
         ecs::ElisionContract::bit(ecs::EventKind::kRelease)};
@@ -100,6 +102,7 @@ class OnReleasePolicy final : public ecs::Policy {
 
  private:
   int clouds_;
+  bool elide_;
 };
 
 /// Deterministic sparse-activity instance: arrivals are spaced so that both
@@ -150,10 +153,9 @@ void engine_events_sparse_config(benchmark::State& state, bool elide) {
   const ecs::Instance instance = sparse_instance(n);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    OnReleasePolicy policy(instance.platform.cloud_count());
+    OnReleasePolicy policy(instance.platform.cloud_count(), elide);
     ecs::EngineConfig config;
     config.record_schedule = false;
-    config.elide_invariant_rounds = elide;
     const ecs::SimResult result = ecs::simulate(instance, policy, config);
     events = result.stats.events;
     benchmark::DoNotOptimize(result.completions.data());
@@ -172,9 +174,8 @@ BENCHMARK(engine_events_sparse)
     ->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Ablation for the DESIGN.md §8 breakdown: the row turns no-op round
-// elision off via its EngineConfig A/B switch (bit-identical results either
-// way). Deliberately outside the CI gate's name filter — it attributes
+// Ablation for the DESIGN.md §8 breakdown: the row's policy opts out of
+// no-op round elision (bit-identical results either way). Deliberately outside the CI gate's name filter — it attributes
 // cost, it doesn't guard it.
 void engine_events_sparse_noelide(benchmark::State& state) {
   engine_events_sparse_config(state, false);
@@ -251,7 +252,7 @@ BENCHMARK(validator_cost)->Arg(1000)->Unit(benchmark::kMillisecond);
 std::string run_profiled_pass(const std::string& json_path,
                               const std::string& perfetto_path) {
   const ecs::Instance instance = sparse_instance(10000);
-  OnReleasePolicy policy(instance.platform.cloud_count());
+  OnReleasePolicy policy(instance.platform.cloud_count(), true);
   ecs::obs::EngineProfiler profiler;  // calibrates the tick source up front
   ecs::EngineConfig config;
   config.record_schedule = false;

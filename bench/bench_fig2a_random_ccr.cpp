@@ -18,7 +18,6 @@
 
 #include "bench_common.hpp"
 #include "sched/factory.hpp"
-#include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
 namespace {
@@ -41,32 +40,17 @@ int run(int argc, char** argv) {
           ", 20 cloud / 10+10 edge processors, load 0.05",
       options.sweep.replications, options.sweep.base_seed);
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
+  std::vector<bench::FigurePoint> points;
   for (double ccr : ccrs) {
     RandomInstanceConfig cfg;
     cfg.n = n;
     cfg.ccr = ccr;
     cfg.load = 0.05;
-    const InstanceFactory factory = [cfg](std::uint64_t seed) {
-      Rng rng(seed);
-      return make_random_instance(cfg, rng);
-    };
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = format_double(ccr, 3);
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(format_double(ccr, 3), factory,
-                                     policies, sweep));
-    std::cout << "  [done] CCR = " << format_double(ccr, 3) << "\n";
+    points.emplace_back(format_double(ccr, 3), bench::random_instances(cfg));
   }
-  std::cout << "\n";
-  bench::report_sweep(points, policies, options, "CCR");
-  return bench::write_trace_artifacts(options, policies, trace_label,
-                                      trace_factory);
+  bench::report_sweep(bench::run_points(options, policies, "CCR = ", points),
+                      policies, options, "CCR");
+  return bench::write_trace_artifacts(options, policies, points);
 }
 
 }  // namespace

@@ -31,33 +31,21 @@ int run(int argc, char** argv) {
           std::to_string(clouds) + " cloud processors, load 0.05",
       options.sweep.replications, options.sweep.base_seed);
 
-  std::vector<SweepPointResult> points;
-  InstanceFactory trace_factory;
-  std::string trace_label;
+  std::vector<bench::FigurePoint> points;
   for (std::int64_t n : ns) {
     KangInstanceConfig cfg;
     cfg.n = static_cast<int>(n);
     cfg.edge_count = edges;
     cfg.cloud_count = clouds;
     cfg.load = 0.05;
-    const InstanceFactory factory = [cfg](std::uint64_t seed) {
+    points.emplace_back(std::to_string(n), [cfg](std::uint64_t seed) {
       Rng rng(seed);
       return make_kang_instance(cfg, rng);
-    };
-    if (!trace_factory) {
-      trace_factory = factory;
-      trace_label = std::to_string(n);
-    }
-    SweepOptions sweep = options.sweep;
-    sweep.point_index = static_cast<int>(points.size());
-    points.push_back(run_sweep_point(std::to_string(n), factory, policies,
-                                     sweep));
-    std::cout << "  [done] n = " << n << "\n";
+    });
   }
-  std::cout << "\n";
-  bench::report_sweep(points, policies, options, "n");
-  return bench::write_trace_artifacts(options, policies, trace_label,
-                                      trace_factory);
+  bench::report_sweep(bench::run_points(options, policies, "n = ", points),
+                      policies, options, "n");
+  return bench::write_trace_artifacts(options, policies, points);
 }
 
 }  // namespace

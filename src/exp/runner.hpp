@@ -28,7 +28,7 @@ struct RunOutcome {
 };
 
 /// Simulates `policy` over `instance`. Throws on invalid schedules (when
-/// options.validate is set) and on engine errors (stall / event cap).
+/// options.validate is set) and on engine errors (stall / progress watchdog).
 [[nodiscard]] RunOutcome run_policy(const Instance& instance, Policy& policy,
                                     const RunOptions& options = {});
 

@@ -301,58 +301,30 @@ class PickSet {
 /// returned even if unverified; callers treat the result as best-effort).
 /// Shared by SSF-EDF and Edge-Only. A template (not std::function) so the
 /// zero-allocation decide() paths never pay a closure heap allocation.
+///
+/// The doubling phase looks for the first feasible rung of the ladder
+/// hi = base * 2^k (base = max(lo, 1.0)). With `warm_hint <= 0` it scans
+/// the ladder upward from k = 0, one probe per rung (the cold search).
+/// Otherwise it jumps to the rung covering `warm_hint` (the previous
+/// search's result — target stretches drift slowly between consecutive
+/// releases) and walks down while the rung below stays feasible, or up
+/// until a rung is feasible. Because feasibility is monotone along the
+/// ladder (the property the bisection itself relies on), both scans find
+/// the same rung k*; rung values are exact (multiplying by 2.0 is exact in
+/// binary floating point), and the bisection is then entered with
+/// iterations = k* — the number of failed probes the cold scan consumes —
+/// so the midpoint sequence, the budget cutoff and the result do not
+/// depend on the hint.
 template <typename FeasibleFn>
 [[nodiscard]] double min_feasible_stretch(double lo, double epsilon,
                                           int max_iterations,
+                                          double warm_hint,
                                           FeasibleFn&& feasible) {
-  double hi = std::max(lo, 1.0);
-  int iterations = 0;
-  while (!feasible(hi) && iterations < max_iterations) {
-    hi *= 2.0;
-    ++iterations;
-  }
-  double best = hi;
-  double cursor = lo;
-  while ((best - cursor) > epsilon * best && iterations < max_iterations) {
-    const double mid = 0.5 * (cursor + best);
-    if (feasible(mid)) {
-      best = mid;
-    } else {
-      cursor = mid;
-    }
-    ++iterations;
-  }
-  return best;
-}
-
-/// Warm-started variant of min_feasible_stretch, bit-compatible with the
-/// cold search: it returns the exact value the cold search would (same
-/// bracket, same midpoint sequence, same probe budget accounting) while
-/// usually spending far fewer probes on the doubling phase.
-///
-/// The cold search scans the rung ladder hi = base * 2^k (base =
-/// max(lo, 1.0)) upward from k = 0 for the first feasible rung, paying one
-/// probe per rung. The warm search instead jumps to the rung suggested by
-/// `warm_hint` (the previous search's result — target stretches drift
-/// slowly between consecutive releases) and walks down while the rung below
-/// stays feasible, or up until a rung is feasible. Because feasibility is
-/// monotone along the ladder (the property the bisection itself relies on),
-/// both scans identify the same rung k*; rung values are exact (multiplying
-/// by 2.0 is exact in binary floating point), and the bisection is then
-/// entered with iterations = k* — exactly the number of failed probes the
-/// cold doubling phase would have consumed — so the midpoint sequence and
-/// the budget cutoff match the cold search bit for bit. `warm_hint <= 0`
-/// (no previous search) falls back to the cold ladder scan.
-template <typename FeasibleFn>
-[[nodiscard]] double min_feasible_stretch_warm(double lo, double epsilon,
-                                               int max_iterations,
-                                               double warm_hint,
-                                               FeasibleFn&& feasible) {
   const double base = std::max(lo, 1.0);
   int k = 0;         // first-feasible rung index (== cold's failed probes)
   double hi = base;  // rung(k)
   if (warm_hint <= 0.0) {
-    // Cold ladder scan (identical to min_feasible_stretch's first loop).
+    // Cold ladder scan upward from rung 0.
     while (!feasible(hi) && k < max_iterations) {
       hi *= 2.0;
       ++k;
@@ -382,8 +354,8 @@ template <typename FeasibleFn>
       }
     }
   }
-  // Bisection, bit-identical to the cold search: same (cursor, best)
-  // bracket and the same remaining probe budget (max_iterations - k).
+  // Bisection: the same (cursor, best) bracket and the same remaining
+  // probe budget (max_iterations - k) whether or not the scan was warm.
   int iterations = k;
   double best = hi;
   double cursor = lo;

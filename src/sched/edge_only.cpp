@@ -70,7 +70,7 @@ void EdgeOnlyPolicy::recompute_edge_deadlines(const SimView& view, EdgeId j) {
   if (!any) return;
 
   const double best = min_feasible_stretch(
-      lo, config_.epsilon, config_.max_iterations,
+      lo, config_.epsilon, config_.max_iterations, /*warm_hint=*/0.0,
       [&](double s) { return feasible_on_edge(view, j, s, nullptr); });
   (void)feasible_on_edge(view, j, best, &deadlines_);
 }

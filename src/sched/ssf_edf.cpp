@@ -85,11 +85,11 @@ void SsfEdfPolicy::recompute_deadlines(const SimView& view) {
   walked_ = 0;
   // Warm start: consecutive releases see mostly the same live set, so the
   // previous round's target stretch predicts this round's feasibility rung
-  // almost exactly; min_feasible_stretch_warm verifies the prediction and
+  // almost exactly; min_feasible_stretch verifies the prediction and
   // returns the same value the cold search would, with a fraction of the
   // probes. The cold path (hint <= 0) covers the first release.
   kept_stretch_ = std::numeric_limits<double>::quiet_NaN();
-  const double best_feasible = min_feasible_stretch_warm(
+  const double best_feasible = min_feasible_stretch(
       lo, config_.epsilon, config_.max_iterations, last_target_stretch_,
       [&](double s) { return feasible(view, s); });
 

@@ -104,7 +104,7 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
   require_valid_fault_plan(config_.faults, *platform_);
   admission_on_ = config_.admission.enabled();
   record_schedule_ = config_.record_schedule;
-  elide_ = config_.elide_invariant_rounds ? policy.elision() : ElisionContract{};
+  elide_ = policy.elision();
   // Faults and recoveries rewrite allocations behind the policy's back, so
   // no contract may claim invariance across them: force them as triggers.
   elide_.triggers |= ElisionContract::bit(EventKind::kFault) |
@@ -1074,17 +1074,6 @@ void EngineCore::advance_to_next_event() {
   fire_releases();
 
   stats_.events += events_.size();
-  if (config_.max_events != 0 && stats_.events > config_.max_events) {
-    std::ostringstream os;
-    os << "event cap (" << config_.max_events << ") exceeded at t=" << now_
-       << " by policy " << policy_->name() << " with " << remaining_jobs_
-       << " live job(s) after " << stats_.reassignments
-       << " reassignment(s) and " << stats_.fault_aborts
-       << " fault abort(s); the policy is likely thrashing "
-          "re-executions; live jobs: "
-       << describe_live_jobs();
-    throw std::runtime_error(os.str());
-  }
   // Progress watchdog: a thrashing policy fires activity events forever
   // without completing a job, so count events since the last completion —
   // meaningful even when the total event count is unbounded (streaming).
@@ -1092,12 +1081,8 @@ void EngineCore::advance_to_next_event() {
     events_since_completion_ = 0;
   } else {
     events_since_completion_ += events_.size();
-    const std::uint64_t cap =
-        config_.stall_events != 0
-            ? config_.stall_events
-            : std::max<std::uint64_t>(
-                  kStallFloor,
-                  512 * static_cast<std::uint64_t>(live_.size()));
+    const std::uint64_t cap = std::max<std::uint64_t>(
+        kStallFloor, 512 * static_cast<std::uint64_t>(live_.size()));
     if (events_since_completion_ > cap) {
       std::ostringstream os;
       os << "progress watchdog: " << events_since_completion_
@@ -1124,7 +1109,7 @@ void EngineCore::advance_to_next_event() {
 }
 
 /// Compact dump of the live jobs — id, allocation, current activity —
-/// for the stall / event-cap diagnostics. Capped at 8 entries.
+/// for the stall / progress-watchdog diagnostics. Capped at 8 entries.
 std::string EngineCore::describe_live_jobs() const {
   std::ostringstream os;
   int shown = 0;

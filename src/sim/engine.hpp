@@ -99,16 +99,6 @@ struct AdmissionRecord {
 };
 
 struct EngineConfig {
-  /// Hard cap on processed events; 0 (the default) disables the absolute
-  /// cap in favour of the events-since-completion watchdog below — an
-  /// absolute cap is meaningless for an unbounded stream. Setting it keeps
-  /// the historical behaviour: the run dies once total events exceed it.
-  std::uint64_t max_events = 0;
-  /// Progress watchdog: abort when this many events fire without a single
-  /// job completing; 0 selects max(100'000, 512 * live). This turns a
-  /// thrashing policy (endless re-executions) into a diagnosable error
-  /// instead of a hang, even when the total event count is unbounded.
-  std::uint64_t stall_events = 0;
   /// Overload protection; disabled by default (admission.enabled() false).
   AdmissionConfig admission;
   /// Record the full interval history. Disable to save memory on very large
@@ -131,12 +121,6 @@ struct EngineConfig {
   /// switches above; the rejections/sheds counters in SimStats (and the
   /// kReject/kShed trace instants) are unaffected.
   bool record_admission = true;
-  /// Skip decide() on rounds the policy has declared invariant via its
-  /// ElisionContract (see sim/policy.hpp); policies that do not opt in are
-  /// unaffected. Elision is behaviorally invisible — schedules, stats and
-  /// traces are bit-identical with it on or off — so this switch exists for
-  /// A/B testing and diagnosis.
-  bool elide_invariant_rounds = true;
   /// Unannounced faults (see sim/faults.hpp). The ENGINE owns the plan —
   /// policies never see it and learn of a fault only through the
   /// EventKind::kFault / kRecovery events it triggers. Empty = fault-free.
@@ -242,8 +226,8 @@ struct SimResult {
 /// order, so this is simulate_stream() over an InstanceArrivalStream: the
 /// same run, bit for bit, except that peak_tracked reads 0.
 /// Throws std::runtime_error on policy stalls (every live job left
-/// unallocated with no pending event), when the explicit event cap is hit,
-/// or when the progress watchdog trips.
+/// unallocated with no pending event) and when the progress watchdog trips
+/// (more than max(100'000, 512 * live) events without a job completing).
 [[nodiscard]] SimResult simulate(const Instance& instance, Policy& policy,
                                  const EngineConfig& config = {});
 

@@ -262,8 +262,7 @@ class EngineCore {
   std::uint32_t round_ = 0;
 
   // --- no-op round elision (ElisionContract, see sim/policy.hpp) ---
-  /// Cached contract; triggers always include kFault/kRecovery. mode is
-  /// forced to kNone when config_.elide_invariant_rounds is off.
+  /// Cached contract; triggers always include kFault/kRecovery.
   ElisionContract elide_;
   bool decided_once_ = false;    ///< directives_ holds a real decide() output
   /// Live membership changed since the last real decide() — admissions,
@@ -287,6 +286,10 @@ class EngineCore {
   std::vector<AdmissionRecord> admission_log_;
 
   // --- progress watchdog ---
+  /// A run aborts when more than max(kStallFloor, 512 * live) events fire
+  /// without a job completing: a thrashing policy (endless re-executions)
+  /// becomes a diagnosable error instead of a hang, and the cap stays
+  /// meaningful for an unbounded stream.
   static constexpr std::uint64_t kStallFloor = 100'000;
   std::uint64_t events_since_completion_ = 0;
 

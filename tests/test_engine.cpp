@@ -252,7 +252,7 @@ TEST(Engine, StallIsDetected) {
   }
 }
 
-TEST(Engine, EventCapStopsThrashingPolicies) {
+TEST(Engine, ProgressWatchdogStopsThrashingPolicies) {
   Instance instance;
   instance.platform = Platform({1.0}, 2);
   instance.jobs = {{0, 0, 100.0, 0.0, 1.0, 1.0},
@@ -276,17 +276,17 @@ TEST(Engine, EventCapStopsThrashingPolicies) {
     int flip_ = 0;
   };
 
+  // No job completes after J1, so the progress watchdog trips at its floor
+  // cap; the diagnostic must name the watchdog, the cap, the policy and the
+  // job still alive.
   Thrash policy;
-  EngineConfig config;
-  config.max_events = 500;
-  EXPECT_THROW((void)simulate(instance, policy, config), std::runtime_error);
-  // The diagnostic must name the cap, the policy and the job still alive.
   try {
-    (void)simulate(instance, policy, config);
-    FAIL() << "expected the event cap to trip";
+    (void)simulate(instance, policy);
+    FAIL() << "expected the progress watchdog to trip";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("event cap (500)"), std::string::npos) << what;
+    EXPECT_NE(what.find("progress watchdog"), std::string::npos) << what;
+    EXPECT_NE(what.find("(cap 100000)"), std::string::npos) << what;
     EXPECT_NE(what.find("Thrash"), std::string::npos) << what;
     EXPECT_NE(what.find("reassignment"), std::string::npos) << what;
     EXPECT_NE(what.find("J0("), std::string::npos) << what;

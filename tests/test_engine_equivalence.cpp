@@ -22,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "no_elision.hpp"
 #include "obs/trace.hpp"
 #include "run_digest.hpp"
 #include "sched/factory.hpp"
@@ -203,21 +204,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------- hot-path invisibility matrix
 //
-// No-op round elision is configurable precisely so this matrix can pin it:
-// on and off must produce byte-identical runs — completions, stats, fault
-// logs, interval histories AND trace streams — on the same randomized
-// workloads (outages on odd seeds, unannounced faults on most), with
-// admission control engaged on odd seeds so rejection/shed rounds are part
-// of the matrix too.
+// No-op round elision must be invisible: each policy run bare and under
+// NoElision (no_elision.hpp, which hides its contract) must produce
+// byte-identical runs — completions, stats, fault logs, interval histories
+// AND trace streams — on the same randomized workloads (outages on odd
+// seeds, unannounced faults on most), with admission control engaged on
+// odd seeds so rejection/shed rounds are part of the matrix too.
 
 Variant run_mode_variant(const Instance& instance,
                          const std::string& policy_name,
                          const FaultPlan& faults, int seed, bool elide) {
   const auto policy = make_policy(policy_name);
+  NoElision plain(*policy);
   EngineConfig config;
   config.record_schedule = true;
   config.faults = faults;
-  config.elide_invariant_rounds = elide;
   if (seed % 2 == 1) {  // a binding live cap on the higher-load seeds
     config.admission.max_live = 10;
     config.admission.rule = AdmissionRule::kRejectHopeless;
@@ -225,7 +226,7 @@ Variant run_mode_variant(const Instance& instance,
   obs::MemoryTraceSink sink;
   config.trace = &sink;
   Variant v;
-  v.result = simulate(instance, *policy, config);
+  v.result = simulate(instance, elide ? *policy : plain, config);
   v.trace = sink.records();
   return v;
 }
@@ -286,10 +287,11 @@ TEST(RoundElision, ReuseContractEngagesForFixedAssignments) {
   }
 
   auto run_with = [&](bool elide, std::uint64_t* elided) {
-    FixedPolicy policy(alloc, priority);
+    FixedPolicy fixed(alloc, priority);
+    NoElision plain(fixed);
+    Policy& policy = elide ? static_cast<Policy&>(fixed) : plain;
     EngineConfig config;
     config.record_schedule = true;
-    config.elide_invariant_rounds = elide;
     policy.reset(instance);
     detail::EngineCore core;
     core.prepare(instance, nullptr, policy, config);
@@ -303,7 +305,7 @@ TEST(RoundElision, ReuseContractEngagesForFixedAssignments) {
   const SimResult on = run_with(true, &elided_on);
   const SimResult off = run_with(false, &elided_off);
   EXPECT_GT(elided_on, 0U) << "reuse elision never engaged";
-  EXPECT_EQ(elided_off, 0U) << "elision engaged despite being disabled";
+  EXPECT_EQ(elided_off, 0U) << "elision engaged without a contract";
   expect_same_result(on, off);
 }
 
@@ -335,10 +337,11 @@ TEST(RoundElision, EmptyContractEngagesForReleaseDrivenPolicy) {
   const Instance instance = equivalence_instance(0, &faults);  // fault-free
 
   auto run_with = [&](bool elide, std::uint64_t* elided) {
-    ReleaseOnlyPolicy policy;
+    ReleaseOnlyPolicy release_only;
+    NoElision plain(release_only);
+    Policy& policy = elide ? static_cast<Policy&>(release_only) : plain;
     EngineConfig config;
     config.record_schedule = true;
-    config.elide_invariant_rounds = elide;
     policy.reset(instance);
     detail::EngineCore core;
     core.prepare(instance, nullptr, policy, config);
@@ -352,7 +355,7 @@ TEST(RoundElision, EmptyContractEngagesForReleaseDrivenPolicy) {
   const SimResult on = run_with(true, &elided_on);
   const SimResult off = run_with(false, &elided_off);
   EXPECT_GT(elided_on, 0U) << "empty elision never engaged";
-  EXPECT_EQ(elided_off, 0U) << "elision engaged despite being disabled";
+  EXPECT_EQ(elided_off, 0U) << "elision engaged without a contract";
   expect_same_result(on, off);
 }
 

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -364,8 +366,20 @@ void expect_same_sketch(const obs::QuantileSketch& a,
   }
 }
 
-/// run_sweep_point against reference_point, bit for bit: every
-/// accumulator and merged sketch, wall_seconds excepted (it is wall time).
+/// Every accumulator and merged sketch of `a` and `b`, bit for bit,
+/// wall_seconds excepted (it is wall time).
+void expect_same_aggregate(const PolicyAggregate& a,
+                           const PolicyAggregate& b) {
+  expect_same_accumulator(a.max_stretch, b.max_stretch);
+  expect_same_accumulator(a.mean_stretch, b.mean_stretch);
+  expect_same_accumulator(a.reassignments, b.reassignments);
+  expect_same_accumulator(a.events, b.events);
+  expect_same_sketch(a.stretch_sketch, b.stretch_sketch);
+  expect_same_sketch(a.flow_sketch, b.flow_sketch);
+  expect_same_sketch(a.queue_depth_sketch, b.queue_depth_sketch);
+}
+
+/// run_sweep_point against reference_point, bit for bit.
 void expect_matches_reference(const SweepOptions& options,
                               bool expect_faults) {
   const auto factory = [](std::uint64_t seed) { return tiny_instance(seed); };
@@ -379,15 +393,8 @@ void expect_matches_reference(const SweepOptions& options,
   for (std::size_t p = 0; p < policies.size(); ++p) {
     SCOPED_TRACE(policies[p]);
     const PolicyAggregate& a = swept.policy(policies[p]);
-    const PolicyAggregate& b = reference[p];
-    expect_same_accumulator(a.max_stretch, b.max_stretch);
-    expect_same_accumulator(a.mean_stretch, b.mean_stretch);
-    expect_same_accumulator(a.reassignments, b.reassignments);
-    expect_same_accumulator(a.events, b.events);
-    EXPECT_EQ(a.wall_seconds.count(), b.max_stretch.count());
-    expect_same_sketch(a.stretch_sketch, b.stretch_sketch);
-    expect_same_sketch(a.flow_sketch, b.flow_sketch);
-    expect_same_sketch(a.queue_depth_sketch, b.queue_depth_sketch);
+    expect_same_aggregate(a, reference[p]);
+    EXPECT_EQ(a.wall_seconds.count(), reference[p].max_stretch.count());
   }
 }
 
@@ -486,6 +493,102 @@ TEST(BenchFlags, RepsHelperRejectsNonPositiveCounts) {
           << e.what();
     }
   }
+}
+
+// ------------------------------------------------------ bench sweep loop
+
+/// Runs bench::run_points on `points` with the srpt and greedy policies,
+/// capturing what it prints.
+std::vector<SweepPointResult> run_figure_points(
+    const std::vector<bench::FigurePoint>& points, std::string* printed) {
+  bench::CommonOptions options;
+  options.sweep.replications = 3;
+  options.sweep.threads = 2;
+  std::ostringstream out;
+  std::streambuf* const saved = std::cout.rdbuf(out.rdbuf());
+  std::vector<SweepPointResult> results =
+      bench::run_points(options, {"srpt", "greedy"}, "x = ", points);
+  std::cout.rdbuf(saved);
+  *printed = out.str();
+  return results;
+}
+
+/// `point` equals run_sweep_point on `label` and `factory` under
+/// point_index `index`, bit for bit (wall_seconds excepted).
+void expect_same_as_hand_run(const SweepPointResult& point,
+                             const std::string& label,
+                             const InstanceFactory& factory, int index,
+                             const FaultPlanFactory& faults = {}) {
+  SweepOptions options;
+  options.replications = 3;
+  options.threads = 1;
+  options.point_index = index;
+  options.fault_factory = faults;
+  const SweepPointResult want =
+      run_sweep_point(label, factory, {"srpt", "greedy"}, options);
+  EXPECT_EQ(point.label, label);
+  for (const std::string policy : {"srpt", "greedy"}) {
+    SCOPED_TRACE(policy);
+    expect_same_aggregate(point.policy(policy), want.policy(policy));
+  }
+}
+
+TEST(RunPoints, EachPointRunsUnderItsOwnIndex) {
+  const InstanceFactory factory = [](std::uint64_t seed) {
+    return tiny_instance(seed);
+  };
+  const std::vector<bench::FigurePoint> points = {{"same", factory},
+                                                  {"same", factory}};
+  std::string printed;
+  const std::vector<SweepPointResult> results =
+      run_figure_points(points, &printed);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(printed, "  [done] x = same\n  [done] x = same\n\n");
+  // Equal labels, distinct instances: the point index splits the seeds.
+  EXPECT_NE(results[0].policy("srpt").max_stretch.mean(),
+            results[1].policy("srpt").max_stretch.mean());
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
+    expect_same_as_hand_run(results[i], "same", factory, i);
+  }
+}
+
+TEST(RunPoints, FaultPlanReachesOnlyItsOwnPoint) {
+  const InstanceFactory factory = [](std::uint64_t seed) {
+    return tiny_instance(seed);
+  };
+  // Records every seed the plan is drawn for; worlds run on two threads.
+  std::mutex mutex;
+  std::set<std::uint64_t> fault_seeds;
+  const FaultPlanFactory faults = [&](const Instance& instance,
+                                      std::uint64_t seed) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      fault_seeds.insert(seed);
+    }
+    FaultConfig config;
+    config.crash_rate = 0.02;
+    config.mean_repair = 5.0;
+    config.loss_rate = 0.05;
+    config.horizon = 200.0;
+    Rng rng(seed ^ 0x5eedULL);
+    return make_fault_plan(instance.platform.cloud_count(), config, rng);
+  };
+  const std::vector<bench::FigurePoint> points = {
+      {"a", factory}, {"b", factory, faults}, {"c", factory}};
+  std::string printed;
+  const std::vector<SweepPointResult> results =
+      run_figure_points(points, &printed);
+  ASSERT_EQ(results.size(), 3u);
+  // Only point 1's replications drew a plan.
+  std::set<std::uint64_t> want_seeds;
+  for (int rep = 0; rep < 3; ++rep) {
+    want_seeds.insert(sweep_seed(42, 1, "b", rep));
+  }
+  EXPECT_EQ(fault_seeds, want_seeds);
+  expect_same_as_hand_run(results[0], "a", factory, 0);
+  expect_same_as_hand_run(results[1], "b", factory, 1, faults);
+  expect_same_as_hand_run(results[2], "c", factory, 2);
 }
 
 TEST(Report, TableAlignmentAndCsv) {

@@ -27,6 +27,7 @@
 #include <tuple>
 #include <vector>
 
+#include "no_elision.hpp"
 #include "obs/trace.hpp"
 #include "pool_view.hpp"
 #include "reference_policies.hpp"
@@ -225,9 +226,9 @@ SimResult run(const Workload& w, Policy& policy, bool elide = true,
   EngineConfig config;
   config.record_schedule = true;
   config.faults = w.faults;
-  config.elide_invariant_rounds = elide;
   config.trace = trace;
-  return simulate(w.instance, policy, config);
+  NoElision plain(policy);
+  return simulate(w.instance, elide ? policy : plain, config);
 }
 
 /// Table check of one cell's world and traced default-config run (see
