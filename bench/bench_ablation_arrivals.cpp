@@ -27,6 +27,8 @@ int run(int argc, char** argv) {
   const std::vector<std::string> policies = {"greedy", "srpt", "ssf-edf",
                                              "fcfs"};
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Ablation A5: arrival-process robustness",
       "random instances, n = " + std::to_string(n) + ", CCR = 1, load " +

@@ -24,6 +24,8 @@ int run(int argc, char** argv) {
       args.get_int_list("clouds", {0, 2, 5, 10, 20, 40});
   const std::vector<std::string> policies = {"greedy", "srpt", "ssf-edf"};
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Ablation A3: cloud size sweep",
       "random instances, n = " + std::to_string(n) +

@@ -40,6 +40,8 @@ int run(int argc, char** argv) {
   const std::vector<double> epsilons =
       args.get_double_list("eps", {0.5, 0.1, 0.01, 0.001, 0.0001});
 
+  args.reject_unread();
+
   print_bench_header(std::cout,
                      "Ablation A1: SSF-EDF binary-search precision",
                      "random instances, n = " + std::to_string(n) +

@@ -1,4 +1,4 @@
-// bench_ablation_faults.cpp - Ablation A5: unannounced faults and failover.
+// bench_ablation_faults.cpp - Ablation A6: unannounced faults and failover.
 //
 // Unlike the announced availability windows of A4 (known to the policies in
 // advance via Instance::cloud_outages), the faults here are injected by the
@@ -36,8 +36,10 @@ int run(int argc, char** argv) {
       "greedy",  "failover-greedy",  "srpt",
       "failover-srpt", "ssf-edf", "failover-ssf-edf"};
 
+  args.reject_unread();
+
   print_bench_header(
-      std::cout, "Ablation A5: unannounced faults + failover",
+      std::cout, "Ablation A6: unannounced faults + failover",
       "random instances, n = " + std::to_string(n) +
           ", CCR = 0.5, load 0.25; per-cloud crash rate as given, mean "
           "repair " + format_double(mean_repair, 1) +

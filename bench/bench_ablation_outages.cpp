@@ -30,6 +30,8 @@ int run(int argc, char** argv) {
   const std::vector<std::string> policies = {"edge-only", "greedy", "srpt",
                                              "ssf-edf"};
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Ablation A4: cloud availability windows",
       "random instances, n = " + std::to_string(n) +

@@ -25,6 +25,8 @@ int run(int argc, char** argv) {
       args.get_double_list("load", {0.05, 0.25, 0.5, 1.0});
   const std::vector<std::string> policies = {"srpt", "srpt-noreexec"};
 
+  args.reject_unread();
+
   print_bench_header(std::cout, "Ablation A2: value of re-execution (SRPT)",
                      "random instances, n = " + std::to_string(n) +
                          ", CCR = 1, load sweep",

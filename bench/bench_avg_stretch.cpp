@@ -28,6 +28,8 @@ int run(int argc, char** argv) {
   const std::vector<std::string> policies = {"greedy", "srpt", "ssf-edf",
                                              "fcfs"};
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Average stretch across heuristics",
       "random instances, n = " + std::to_string(n) +

@@ -14,6 +14,9 @@
 //   --no-validate   skip the first-replication schedule validation
 //   --log-level=L   stderr log threshold: debug, info, warn or error
 //
+// Each binary reads its own flags too, then calls Args::reject_unread
+// before any work: a flag that nothing read fails the run.
+//
 // Observability flags (see docs/OBSERVABILITY.md): after the sweep, the
 // first replication of the first sweep point is re-run with sinks attached
 // and the artifacts are written out.
@@ -52,6 +55,7 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
+#include "sched/factory.hpp"
 #include "util/args.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -142,8 +146,9 @@ inline int parse_reps(const Args& args, int default_reps) {
 }
 
 /// Parses the common flags. Throws std::invalid_argument naming the flag
-/// for a bad --reps (parse_reps) or --threads < 0 (a negative count would
-/// wrap to a huge unsigned thread request).
+/// for a bad --reps (parse_reps), --threads < 0 (a negative count would
+/// wrap to a huge unsigned thread request) or an unknown --trace-policy
+/// (which would otherwise fail only after the whole sweep).
 inline CommonOptions parse_common(const Args& args, int default_reps) {
   CommonOptions options;
   const int reps = parse_reps(args, default_reps);
@@ -165,6 +170,14 @@ inline CommonOptions parse_common(const Args& args, int default_reps) {
   options.metrics_path = args.get_or("metrics-out", "");
   options.metrics_prom = args.get_or("metrics-prom", "");
   options.trace_policy = args.get_or("trace-policy", "");
+  if (!options.trace_policy.empty()) {
+    try {
+      (void)make_policy(options.trace_policy);
+    } catch (const std::invalid_argument&) {
+      throw std::invalid_argument("--trace-policy: unknown policy '" +
+                                  options.trace_policy + "'");
+    }
+  }
   options.profile_path = args.get_or("profile-out", "");
   options.watchdog = args.get_bool("watchdog", false);
   apply_log_level(args);

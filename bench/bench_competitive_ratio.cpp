@@ -33,6 +33,8 @@ int run(int argc, char** argv) {
   const std::vector<double> deltas =
       args.get_double_list("delta", {2.0, 4.0, 16.0, 64.0});
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Empirical competitive ratio: stretch-so-far EDF, 1 machine",
       "n = " + std::to_string(n) +

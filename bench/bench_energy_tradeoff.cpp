@@ -33,6 +33,8 @@ int run(int argc, char** argv) {
   const std::vector<double> ccrs = args.get_double_list("ccr", {0.1, 1.0, 5.0});
   const std::vector<std::string> policies = paper_policy_names();
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Energy/stretch trade-off",
       "random instances, n = " + std::to_string(n) +

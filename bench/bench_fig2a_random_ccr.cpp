@@ -34,6 +34,8 @@ int run(int argc, char** argv) {
                                                 ? paper_policy_names()
                                                 : policy_names();
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Figure 2(a): random instances, max-stretch vs CCR",
       "n = " + std::to_string(n) +

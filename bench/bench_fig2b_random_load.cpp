@@ -32,6 +32,8 @@ int run(int argc, char** argv) {
       args.get_double_list("load", {0.05, 0.1, 0.25, 0.5, 1.0, 2.0});
   const std::vector<std::string> policies = {"greedy", "srpt", "ssf-edf"};
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Figure 2(b): random instances, max-stretch vs load",
       "n = " + std::to_string(n) +

@@ -26,6 +26,8 @@ int run(int argc, char** argv) {
   const int clouds = static_cast<int>(args.get_int("clouds", 10));
   const std::vector<std::string> policies = paper_policy_names();
 
+  args.reject_unread();
+
   print_bench_header(
       std::cout, "Figure 2(d): Kang instances, max-stretch vs n (100 edges)",
       std::to_string(edges) + " edge processors (GPU/CPU x WiFi/LTE/3G), " +

@@ -7,7 +7,8 @@
 // Provides:
 //  * CompactJsonReporter — console reporter that also collects a compact
 //    machine-readable summary:
-//      {"build": {compiler, build_type, flags, git_sha, native, sanitize},
+//      {"build": {compiler, build_type, flags, git_sha, native, ipo,
+//                 sanitize},
 //       "profile": {...},   // optional engine self-profile, set_profile_json
 //       "rows": [{"name": ..., "real_time_ms": ..., "<rate>": ...,
 //                 "<per>": ...}]}
@@ -45,6 +46,9 @@
 #endif
 #ifndef ECS_BENCH_NATIVE
 #define ECS_BENCH_NATIVE 0
+#endif
+#ifndef ECS_BENCH_IPO
+#define ECS_BENCH_IPO 0
 #endif
 #ifndef ECS_BENCH_SANITIZE
 #define ECS_BENCH_SANITIZE 0
@@ -114,6 +118,7 @@ class CompactJsonReporter final : public benchmark::ConsoleReporter {
        << "\", \"flags\": \"" << ECS_BENCH_FLAGS << "\", \"git_sha\": \""
        << ECS_BENCH_GIT_SHA << "\", \"native\": "
        << (ECS_BENCH_NATIVE ? "true" : "false")
+       << ", \"ipo\": " << (ECS_BENCH_IPO ? "true" : "false")
        << ", \"sanitize\": " << (ECS_BENCH_SANITIZE ? "true" : "false")
        << "},\n";
     if (!profile_json_.empty()) {

@@ -91,6 +91,7 @@ int run(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string json_path = args.get_or("json-out", "");
   const double heartbeat_s = args.get_double("heartbeat", 0.0);
+  args.reject_unread();
   // One monitor across every rate point: stderr pulses only, so stdout
   // (the table and the [done] markers) stays clean for redirection.
   std::optional<obs::HeartbeatMonitor> heartbeat;

@@ -12,6 +12,7 @@
 // Run:  ./drone_fleet [--drones=12] [--cloud=4] [--jobs=300] [--load=0.3]
 //                     [--seed=7]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,12 @@ int main(int argc, char** argv) {
   cfg.cpu_speed = cfg.gpu_speed;
 
   ecs::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
+  try {
+    args.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   const ecs::Instance instance = ecs::make_kang_instance(cfg, rng);
 
   std::printf("Drone fleet: %d drones (GPU, LTE), %d ground-station cloud "

@@ -10,11 +10,16 @@
 //   ecsched --generate=random --n=200 --ccr=1 --load=0.2 --seed=7 ...
 //   ecsched --generate=kang --n=500 --edges=20 --clouds=10 ...
 //
-// Exit code 0 on success, 1 on bad usage, 2 when the produced schedule
+// Exit code 0 on success, 1 on bad usage (a flag the chosen mode does not
+// read included), 2 when the produced schedule
 // fails validation (which would indicate a library bug — please report).
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "core/energy.hpp"
 #include "core/metrics.hpp"
@@ -59,39 +64,75 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  ecs::Instance instance;
+  // Every flag the chosen input and mode use is read before any work, so a
+  // flag that nothing reads (a typo, or one this mode ignores) fails first.
+  std::function<ecs::Instance()> make_instance;
+  std::optional<std::string> save_path;
+  bool compare = false;
+  std::string policy_name;
+  bool energy = false;
+  std::optional<int> gantt_width;  // set by --gantt
+  std::optional<std::string> json_path;
+  std::optional<std::string> per_job_path;
   try {
     if (args.has("instance")) {
-      instance = ecs::load_instance_file(args.get_or("instance", ""));
-    } else if (args.get_or("generate", "") == "random") {
+      make_instance = [path = args.get_or("instance", "")] {
+        return ecs::load_instance_file(path);
+      };
+    } else if (const std::string generate = args.get_or("generate", "");
+               generate == "random") {
       ecs::RandomInstanceConfig cfg;
       cfg.n = static_cast<int>(args.get_int("n", 200));
       cfg.ccr = args.get_double("ccr", 1.0);
       cfg.load = args.get_double("load", 0.2);
-      ecs::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
-      instance = make_random_instance(cfg, rng);
-    } else if (args.get_or("generate", "") == "kang") {
+      const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+      make_instance = [cfg, seed] {
+        ecs::Rng rng(seed);
+        return make_random_instance(cfg, rng);
+      };
+    } else if (generate == "kang") {
       ecs::KangInstanceConfig cfg;
       cfg.n = static_cast<int>(args.get_int("n", 500));
       cfg.edge_count = static_cast<int>(args.get_int("edges", 20));
       cfg.cloud_count = static_cast<int>(args.get_int("clouds", 10));
       cfg.load = args.get_double("load", 0.05);
-      ecs::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
-      instance = make_kang_instance(cfg, rng);
+      const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+      make_instance = [cfg, seed] {
+        ecs::Rng rng(seed);
+        return make_kang_instance(cfg, rng);
+      };
     } else {
       print_usage();
       return 1;
     }
+    save_path = args.get("save-instance");
+    compare = args.has("compare");
+    if (!compare) {
+      policy_name = args.get_or("policy", "ssf-edf");
+      energy = args.has("energy");
+      if (args.has("gantt")) {
+        gantt_width = static_cast<int>(args.get_int("gantt-width", 100));
+      }
+      json_path = args.get("json");
+      per_job_path = args.get("per-job");
+    }
+    args.reject_unread();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
 
-  if (args.has("save-instance")) {
-    ecs::save_instance_file(args.get_or("save-instance", ""), instance);
+  ecs::Instance instance;
+  try {
+    instance = make_instance();
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
 
-  if (args.has("compare")) {
+  if (save_path) ecs::save_instance_file(*save_path, instance);
+
+  if (compare) {
     // Run every registered policy on the same instance and tabulate.
     std::printf("%-10s %-12s %-12s %-10s %-9s %-12s\n", "policy",
                 "max-stretch", "mean-stretch", "p99", "re-exec",
@@ -121,7 +162,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string policy_name = args.get_or("policy", "ssf-edf");
   try {
     const auto policy = ecs::make_policy(policy_name);
     const ecs::SimResult result = ecs::simulate(instance, *policy);
@@ -148,7 +188,7 @@ int main(int argc, char** argv) {
               << "re-executions : " << metrics.reexecutions << "\n"
               << "events        : " << result.stats.events << "\n";
 
-    if (args.has("energy")) {
+    if (energy) {
       const ecs::EnergyBreakdown e =
           compute_energy(instance, result.schedule);
       std::cout << "energy [J]    : total " << e.total << " = edge "
@@ -157,21 +197,21 @@ int main(int argc, char** argv) {
                 << " (wasted in re-executions: " << e.wasted << ")\n";
     }
 
-    if (args.has("gantt")) {
+    if (gantt_width) {
       ecs::GanttOptions gantt;
-      gantt.width = static_cast<int>(args.get_int("gantt-width", 100));
+      gantt.width = *gantt_width;
       std::cout << "\n" << render_gantt(instance, result.schedule, gantt);
     }
-    if (args.has("json")) {
-      std::ofstream out(args.get_or("json", ""));
+    if (json_path) {
+      std::ofstream out(*json_path);
       if (!out) {
         std::cerr << "cannot open json output\n";
         return 1;
       }
       write_schedule_json(out, instance, result.schedule, metrics);
     }
-    if (args.has("per-job")) {
-      std::ofstream out(args.get_or("per-job", ""));
+    if (per_job_path) {
+      std::ofstream out(*per_job_path);
       if (!out) {
         std::cerr << "cannot open per-job output\n";
         return 1;

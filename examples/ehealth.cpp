@@ -11,6 +11,7 @@
 //
 // Run:  ./ehealth [--gateways=4] [--cloud=2] [--bursts=10] [--seed=3]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "exp/runner.hpp"
@@ -60,6 +61,12 @@ int main(int argc, char** argv) {
   const int cloud = static_cast<int>(args.get_int("cloud", 2));
   const int bursts = static_cast<int>(args.get_int("bursts", 10));
   ecs::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 3)));
+  try {
+    args.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   const ecs::Instance instance =
       make_ehealth_instance(gateways, cloud, bursts, rng);

@@ -8,6 +8,7 @@
 // Run:  ./quickstart [--policy=ssf-edf]
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
@@ -18,6 +19,12 @@
 int main(int argc, char** argv) {
   const ecs::Args args = ecs::Args::parse(argc, argv);
   const std::string policy_name = args.get_or("policy", "ssf-edf");
+  try {
+    args.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   // A platform with two edge processors (a slow sensor node at speed 0.2
   // and a faster gateway at speed 0.5) and two cloud processors (speed 1).

@@ -80,12 +80,12 @@ double Platform::best_time(const Job& job) const {
 std::vector<std::string> validate_instance(const Instance& instance) {
   std::vector<std::string> problems;
   if (instance.platform.edge_count() == 0) {
-    problems.push_back("platform has no edge processors");
+    problems.emplace_back("platform has no edge processors");
   }
   if (!instance.cloud_outages.empty() &&
       static_cast<int>(instance.cloud_outages.size()) !=
           instance.platform.cloud_count()) {
-    problems.push_back(
+    problems.emplace_back(
         "cloud_outages must be empty or have one entry per cloud processor");
   }
   for (std::size_t i = 0; i < instance.jobs.size(); ++i) {

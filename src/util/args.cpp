@@ -80,19 +80,37 @@ Args Args::parse(int argc, const char* const* argv) {
     } else if (i + 1 < argc && !looks_like_flag(argv[i + 1])) {
       value = argv[++i];
     }
-    args.values_[key] = value;
+    args.values_[key].value = value;
   }
   return args;
 }
 
-bool Args::has(const std::string& key) const {
-  return values_.count(key) != 0;
+const Args::Flag* Args::find(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second;
 }
 
+bool Args::has(const std::string& key) const { return find(key) != nullptr; }
+
 std::optional<std::string> Args::get(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
+  const Flag* flag = find(key);
+  if (flag == nullptr) return std::nullopt;
+  return flag->value;
+}
+
+void Args::reject_unread() const {
+  std::string unread;
+  int count = 0;
+  for (const auto& [key, flag] : values_) {
+    if (flag.read) continue;
+    unread += (count++ == 0 ? "--" : ", --") + key;
+  }
+  if (count == 0) return;
+  throw std::invalid_argument(
+      (count == 1 ? "unknown or unused flag " : "unknown or unused flags ") +
+      unread);
 }
 
 std::string Args::get_or(const std::string& key,

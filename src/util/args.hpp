@@ -1,9 +1,11 @@
 // args.hpp - Minimal command-line argument parsing for bench and example
 // binaries.
 //
-// Supports `--key=value`, `--key value` and boolean `--flag` forms. Unknown
-// arguments are collected so callers can reject or forward them (the bench
-// binaries forward leftovers to google-benchmark).
+// Supports `--key=value`, `--key value` and boolean `--flag` forms. Every
+// accessor records the flag it read, so a binary that has read all of its
+// flags can reject the rest (reject_unread): a mistyped `--rep=1000` fails
+// instead of silently running the default. Since a read is recorded, one
+// Args must not be read from two threads at once.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +50,11 @@ class Args {
   [[nodiscard]] std::vector<std::int64_t> get_int_list(
       const std::string& key, const std::vector<std::int64_t>& fallback) const;
 
+  /// Throws std::invalid_argument naming every flag on the command line
+  /// that no accessor above has read. Call it after reading every flag and
+  /// before any work.
+  void reject_unread() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
@@ -56,8 +63,15 @@ class Args {
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:
+  struct Flag {
+    std::string value;
+    mutable bool read = false;  ///< set by the accessors
+  };
+
+  [[nodiscard]] const Flag* find(const std::string& key) const;
+
   std::string program_;
-  std::map<std::string, std::string> values_;
+  std::map<std::string, Flag> values_;
   std::vector<std::string> positional_;
 };
 

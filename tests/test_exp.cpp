@@ -474,6 +474,28 @@ TEST(BenchFlags, RepsAndThreadsAreChecked) {
             std::string::npos);
 }
 
+TEST(BenchFlags, UnknownTracePolicyFailsBeforeAnyPoint) {
+  EXPECT_EQ(parse_error("--trace-policy=failover-srpt"), "");
+  int drawn = 0;
+  const InstanceFactory factory = [&drawn](std::uint64_t seed) {
+    ++drawn;
+    return tiny_instance(seed);
+  };
+  const std::vector<bench::FigurePoint> points = {{"p", factory}};
+  try {
+    // A binary's flow: parse the flags, then sweep.
+    const bench::CommonOptions options =
+        parse_flags({"--trace-jsonl=x.jsonl", "--trace-policy=nope"});
+    (void)bench::run_points(options, {"srpt"}, "", points);
+    ADD_FAILURE() << "--trace-policy=nope was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("--trace-policy"), std::string::npos) << message;
+    EXPECT_NE(message.find("nope"), std::string::npos) << message;
+  }
+  EXPECT_EQ(drawn, 0);
+}
+
 /// parse_reps on its own, as the benches outside parse_common call it.
 TEST(BenchFlags, RepsHelperRejectsNonPositiveCounts) {
   const auto reps = [](std::vector<const char*> flags) {

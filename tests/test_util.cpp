@@ -243,6 +243,42 @@ TEST(ArgsTest, ListsSkipEmptySegments) {
   EXPECT_DOUBLE_EQ(ccrs[1], 10.0);
 }
 
+/// The message reject_unread throws, or "" when every flag was read.
+std::string unread_error(const Args& args) {
+  try {
+    args.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgsTest, RejectUnreadNamesEachFlagNothingRead) {
+  const char* argv[] = {"prog",         "positional", "--rep=1000",
+                        "--n=3",        "--bogus-flag", "--stddev"};
+  const Args args = Args::parse(6, argv);
+  EXPECT_EQ(args.get_int("reps", 5), 5);  // the typo falls back...
+  EXPECT_EQ(args.get_int("n", 0), 3);
+  EXPECT_TRUE(args.has("stddev"));
+  // ...and is named, with the other unread flag, in name order. Flags
+  // asked for but absent and positional arguments are not flags given.
+  EXPECT_EQ(unread_error(args),
+            "unknown or unused flags --bogus-flag, --rep");
+  (void)args.get_or("rep", "");
+  EXPECT_EQ(unread_error(args), "unknown or unused flag --bogus-flag");
+  (void)args.get_bool("bogus-flag", false);
+  EXPECT_EQ(unread_error(args), "");
+}
+
+TEST(ArgsTest, RejectUnreadCountsFailedReads) {
+  // A flag whose value an accessor rejected was still read: its own error
+  // names it, and reject_unread adds nothing.
+  const char* argv[] = {"prog", "--n=abc"};
+  const Args args = Args::parse(2, argv);
+  EXPECT_THROW((void)args.get_int("n", 7), std::invalid_argument);
+  EXPECT_EQ(unread_error(args), "");
+}
+
 TEST(ArgsTest, DoubleDashStopsParsing) {
   const char* argv[] = {"prog", "--a=1", "--", "--b=2"};
   const Args args = Args::parse(4, argv);

@@ -12,8 +12,9 @@ invocation; the i-th baseline is compared against the i-th current file.
 Build configurations must match: a comparison where build_type, flags,
 native or sanitize differ between baseline and current is refused outright
 (a Debug or -march=native run gating against a portable Release baseline
-would be noise either way). Compiler and git sha differences only warn —
-baselines are expected to age across commits and toolchains.
+would be noise either way). Compiler, git sha and ipo (link-time
+optimisation) differences only warn — baselines are expected to age across
+commits, toolchains and link modes.
 
 Besides "build" and "rows", the JSON may carry a top-level "profile"
 block — the engine self-profile a --profile-out run embeds (phase-cost
@@ -39,7 +40,7 @@ import sys
 # Build-config keys that must be identical for a comparison to be valid,
 # and keys where a difference is expected churn worth a note only.
 BUILD_HARD_KEYS = ("build_type", "flags", "native", "sanitize")
-BUILD_WARN_KEYS = ("compiler", "git_sha")
+BUILD_WARN_KEYS = ("compiler", "git_sha", "ipo")
 
 
 def per_item_ns(row):

@@ -40,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,7 @@ int run_stream_probe(const ecs::Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string policy_name = args.get_or("policy", "srpt");
   const double heartbeat_s = args.get_double("heartbeat", 0.0);
+  args.reject_unread();
   // Heartbeats go to stderr (the monitor's default); stdout carries only
   // the table, so `scale_probe --stream > table.txt` stays parseable.
   std::optional<obs::HeartbeatMonitor> heartbeat;
@@ -168,16 +170,20 @@ int main(int argc, char** argv) {
   cfg.load = args.get_double(
       "load", pos.size() > 2 ? std::atof(pos[2].c_str()) : 0.05);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-
-  Rng rng(seed);
-  const Instance instance = make_random_instance(cfg, rng);
-
   std::vector<std::string> names = policy_names();
   const std::string only = args.get_or("policy", "");
   if (!only.empty()) names = {only};
-
   const std::string trace_path = args.get_or("trace-out", "");
   const std::string metrics_path = args.get_or("metrics-out", "");
+  try {
+    args.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+
+  Rng rng(seed);
+  const Instance instance = make_random_instance(cfg, rng);
   obs::MetricsRegistry registry;
 
   for (std::size_t i = 0; i < names.size(); ++i) {

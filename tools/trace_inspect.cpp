@@ -38,6 +38,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,12 @@ int main(int argc, char** argv) {
   const bool summary = args.get_bool("summary", false);
   const std::string explain = args.get_or("explain", "");
   const bool check = args.get_bool("check", false);
+  try {
+    args.reject_unread();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   if (trace_path.empty() && metrics_path.empty() && profile_path.empty()) {
     std::cerr << "usage: trace_inspect --trace=run.jsonl "
                  "[--metrics=metrics.json] [--top=N] [--summary] "
