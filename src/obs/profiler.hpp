@@ -24,11 +24,6 @@
 // (profilers are single-threaded, like trace sinks) and merges the slots
 // into one ProfileReport after the run — phase totals add, the per-policy
 // decision-latency sketches merge exactly (obs/sketch.hpp).
-//
-// Compile-time kill switch: building with -DECS_PROFILE=0 (CMake option
-// ECS_PROFILE=OFF) makes the engine ignore EngineConfig::profiler
-// entirely — every hook folds to a constant-null check the compiler
-// removes. The profiler API itself stays available either way.
 #pragma once
 
 #include <array>
@@ -39,10 +34,6 @@
 #include <string>
 
 #include "obs/sketch.hpp"
-
-#ifndef ECS_PROFILE
-#define ECS_PROFILE 1
-#endif
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>

@@ -57,7 +57,7 @@ enum class ReasonCode : std::uint8_t {
   // Admission control (sim/engine.cpp, EngineConfig::admission). These are
   // engine decisions, not policy decisions: they annotate the
   // TracePoint::kReject / kShed instants and the SimResult admission log.
-  kAdmissionQueueFull = 17,          ///< max_live / max_queue cap reached
+  kAdmissionQueueFull = 17,          ///< max_live cap reached
   kAdmissionStretchHopeless = 18,    ///< shed: worst stretch lower bound
   kAdmissionDeadlineInfeasible = 19, ///< shed: stretch_limit already missed
 };

@@ -90,11 +90,7 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
   trace_samples_ = trace_ != nullptr && trace_->wants_samples();
   provenance_on_ =
       (config.provenance || config.watchdog != nullptr) && trace_ != nullptr;
-#if ECS_PROFILE
   profiler_ = config.profiler;
-#else
-  profiler_ = nullptr;  // kill switch: every hook below folds away
-#endif
   heartbeat_ = config.heartbeat;
   if (profiler_ != nullptr) profiler_->begin_run(policy.name());
   ids_.reset();
@@ -334,24 +330,12 @@ bool EngineCore::admission_allows(const Job& job) {
   if (adm.rule == AdmissionRule::kShedInfeasible && adm.stretch_limit > 0.0) {
     shed_infeasible(std::max(adm.stretch_limit, 1.0));
   }
-  const bool over_live = adm.max_live > 0 && live_.size() >= adm.max_live;
-  const bool over_queue =
-      adm.max_queue > 0 && queued_count() >= adm.max_queue;
-  if (!over_live && !over_queue) return true;
+  if (adm.max_live == 0 || live_.size() < adm.max_live) return true;
   if (adm.rule == AdmissionRule::kRejectHopeless && shed_most_hopeless()) {
     return true;
   }
   reject(job);
   return false;
-}
-
-/// Live jobs holding no resource at this instant (the admission queue).
-std::uint64_t EngineCore::queued_count() const {
-  std::uint64_t waiting = 0;
-  for (const std::int32_t slot : live_.slots()) {
-    if (pool_.active(slot) == Activity::kNone) ++waiting;
-  }
-  return waiting;
 }
 
 /// Stretch lower bound of a never-started resident: even started now on

@@ -75,16 +75,12 @@ enum class AdmissionRule : std::uint8_t {
 struct AdmissionConfig {
   /// Cap on resident (admitted, unfinished) jobs; 0 = unbounded.
   std::uint64_t max_live = 0;
-  /// Cap on resident jobs holding no resource at the arrival instant;
-  /// 0 = unbounded. Checked in O(live) per arrival, so prefer max_live for
-  /// very high arrival rates.
-  std::uint64_t max_queue = 0;
   AdmissionRule rule = AdmissionRule::kRejectNewest;
   /// Stretch bound used by kShedInfeasible; <= 0 disables shedding.
   double stretch_limit = 0.0;
 
   [[nodiscard]] bool enabled() const noexcept {
-    return max_live > 0 || max_queue > 0 ||
+    return max_live > 0 ||
            (rule == AdmissionRule::kShedInfeasible && stretch_limit > 0.0);
   }
 };
@@ -153,8 +149,7 @@ struct EngineConfig {
   /// across concurrent ones. Null (the default) costs one predicted branch
   /// per phase boundary, performs zero allocations, and a profiled run is
   /// bit-identical to an unprofiled one (tests/test_profiler.cpp pins all
-  /// three claims). Building with -DECS_PROFILE=0 removes the hooks
-  /// entirely and this field is ignored.
+  /// three claims).
   obs::EngineProfiler* profiler = nullptr;
   /// Optional progress heartbeat (obs/heartbeat.hpp) for long streaming /
   /// overload runs: the engine ticks it once per decision round with the

@@ -197,7 +197,6 @@ class EngineCore {
   void admit(const Job& job);
   std::int32_t acquire_slot(const Job& job);
   bool admission_allows(const Job& job);
-  [[nodiscard]] std::uint64_t queued_count() const;
   [[nodiscard]] double stretch_lower_bound(std::int32_t slot) const;
   [[nodiscard]] bool sheddable(std::int32_t slot) const;
   void shed_infeasible(double limit);
@@ -311,8 +310,7 @@ class EngineCore {
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   /// Self-profiler (obs/profiler.hpp): lap hooks at every phase boundary
-  /// of step(). Forced null under -DECS_PROFILE=0 so the branches fold
-  /// away; null at runtime costs one predicted branch per boundary.
+  /// of step(). Null costs one predicted branch per boundary.
   obs::EngineProfiler* profiler_ = nullptr;
   obs::HeartbeatMonitor* heartbeat_ = nullptr;  ///< ticked once per round
   std::optional<EngineInstruments> ids_;  ///< engaged iff metrics_ != nullptr

@@ -11,6 +11,7 @@
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
 #include "exp/runner.hpp"
+#include "run_digest.hpp"
 #include "sched/factory.hpp"
 #include "sched/failover.hpp"
 #include "sim/engine.hpp"
@@ -63,12 +64,8 @@ TEST(Failover, ExactNoOpWithoutFaults) {
     const SimResult plain = simulate(instance, *naked);
     FailoverPolicy wrapped(make_policy(base));
     const SimResult guarded = simulate(instance, wrapped);
-    ASSERT_EQ(plain.completions.size(), guarded.completions.size());
-    for (std::size_t i = 0; i < plain.completions.size(); ++i) {
-      EXPECT_EQ(plain.completions[i], guarded.completions[i])
-          << base << " J" << i;
-    }
-    EXPECT_EQ(plain.stats.events, guarded.stats.events) << base;
+    expect_same_run(Variant{guarded, {}}, Variant{plain, {}},
+                    std::string("failover-wrapped ") + base);
   }
 }
 

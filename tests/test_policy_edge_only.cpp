@@ -6,6 +6,7 @@
 #include "core/metrics.hpp"
 #include "core/validate.hpp"
 #include "sched/offline/single_machine.hpp"
+#include "sched/ssf_edf.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
@@ -102,6 +103,44 @@ TEST(EdgeOnly, OnlineNeverBeatsOfflineOptimum) {
         optimal_max_stretch_single_machine(jobs);
     EXPECT_GE(m.max_stretch, offline.max_stretch - 1e-3)
         << "seed " << seed;
+  }
+}
+
+// Oracle equality, not just a bound: on one edge with no cloud and every
+// job released at 0, EDF on the deadlines S * p_i runs the jobs shortest
+// first whatever S is, which is the offline optimum. Edge-Only and SSF-EDF
+// must reach the single-machine optimum itself, at any spread Delta of the
+// job sizes. The offline search runs to 1e-9 so that its own precision
+// stays well inside the 1e-6 tolerance (both policies read within 1e-9).
+TEST(EdgeOnly, EqualsSingleMachineOptimumWhenAllReleasedAtZero) {
+  for (const int n : {40, 200}) {
+    for (const double delta : {2.0, 8.0, 64.0}) {
+      for (const std::uint64_t seed : {1U, 2U, 3U}) {
+        Rng rng(seed * 1000 + static_cast<std::uint64_t>(delta) + n);
+        Instance instance;
+        instance.platform = Platform({1.0}, 0);
+        std::vector<SmJob> jobs;
+        for (int i = 0; i < n; ++i) {
+          const double work = rng.uniform(1.0, delta);
+          instance.jobs.push_back(Job{i, 0, work, 0.0, 0.0, 0.0});
+          jobs.push_back(SmJob{work, 0.0, work});
+        }
+        const double optimum =
+            optimal_max_stretch_single_machine(jobs, 1e-9).max_stretch;
+        EdgeOnlyPolicy edge_only;
+        SsfEdfPolicy ssf_edf;
+        for (Policy* policy : {static_cast<Policy*>(&edge_only),
+                               static_cast<Policy*>(&ssf_edf)}) {
+          const SimResult result = simulate(instance, *policy);
+          require_valid_schedule(instance, result.schedule);
+          const double online =
+              compute_metrics(instance, result.schedule).max_stretch;
+          EXPECT_NEAR(online / optimum, 1.0, 1e-6)
+              << policy->name() << ", n " << n << ", Delta " << delta
+              << ", seed " << seed;
+        }
+      }
+    }
   }
 }
 

@@ -4,15 +4,15 @@
 // (obs/heartbeat.hpp) are pure observers of the engine, and this suite
 // pins that claim with no tolerance to hide behind:
 //
-//  1. Bit-identical runs: for random instances (with outages, unannounced
-//     faults and admission pressure), a run with a profiler attached must
-//     equal the profiler-free run EXACTLY — completion times to the bit,
-//     stats field by field, fault and admission logs entry by entry, trace
-//     streams record by record, interval histories interval by interval.
+//  1. Bit-identical runs: on the random worlds of the run corpus
+//     (tests/run_digest.hpp; outages, unannounced faults, and admission
+//     pressure on even seeds), a run with a profiler attached must be the
+//     profiler-free run of the same cell EXACTLY — completions, stats,
+//     fault and admission logs, trace streams and interval histories.
 //  2. Zero allocations on the null path: a warmed resident EngineCore run
 //     with config.profiler == nullptr performs no heap allocation at all
-//     (counting global operator new), so an unprofiled engine pays nothing
-//     for the hooks existing.
+//     (tests/counting_new.hpp), so an unprofiled engine pays nothing for
+//     the hooks existing.
 //  3. The profile itself is coherent: lap counts tile the run, the report
 //     merges exactly, the JSON/Perfetto/metrics exports are well-formed.
 //  4. Heartbeats never land on stdout, and the engine emits the
@@ -20,227 +20,40 @@
 //     (no profiler needed).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "run_digest.hpp"
 #include "sched/factory.hpp"
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "sim/engine_core.hpp"
-#include "util/rng.hpp"
-#include "workloads/outages.hpp"
-#include "workloads/random_instances.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every global allocation in this binary bumps the
-// counter. The zero-allocation test measures the delta across a warmed
-// engine run; everything else (gtest bookkeeping, setup) happens outside
-// the measured window and is unaffected.
-namespace {
-std::atomic<std::size_t> g_alloc_calls{0};
-
-void* counted_alloc(std::size_t size) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  void* p = std::aligned_alloc(align, rounded == 0 ? align : rounded);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-// ---------------------------------------------------------------------------
 
 namespace ecs {
 namespace {
 
-/// The randomized scenario of the equivalence suites: outage calendars on
-/// odd seeds, unannounced fault plans on most, varying load and CCR.
-Instance make_instance(int seed, FaultPlan* faults) {
-  RandomInstanceConfig cfg;
-  cfg.n = 150;
-  cfg.cloud_count = 3;
-  cfg.slow_edges = 2;
-  cfg.fast_edges = 2;
-  cfg.load = seed % 2 == 0 ? 0.1 : 0.3;
-  cfg.ccr = seed % 3 == 0 ? 5.0 : 1.0;
-  Rng rng(1000 + seed);
-  Instance instance = make_random_instance(cfg, rng);
-
-  if (seed % 2 == 1) {
-    OutageConfig outage_cfg;
-    outage_cfg.fraction = 0.1;
-    outage_cfg.mean_duration = 10.0;
-    outage_cfg.horizon = 500.0;
-    Rng outage_rng(2000 + seed);
-    instance.cloud_outages =
-        make_cloud_outages(cfg.cloud_count, outage_cfg, outage_rng);
-  }
-
-  if (seed % 3 != 0) {
-    FaultConfig fault_cfg;
-    fault_cfg.crash_rate = 0.002;
-    fault_cfg.mean_repair = 20.0;
-    fault_cfg.loss_rate = 0.005;
-    fault_cfg.horizon = 500.0;
-    Rng fault_rng(3000 + seed);
-    *faults = make_fault_plan(cfg.cloud_count, fault_cfg, fault_rng);
-  }
-  return instance;
-}
-
-struct Variant {
-  SimResult result;
-  std::vector<obs::TraceRecord> trace;
-};
-
-/// One run with everything recorded; `profiler` is the only difference
-/// between the compared variants. Admission pressure on half the seeds so
-/// the admission log is exercised too.
-Variant run_variant(const Instance& instance, const std::string& policy_name,
-                    const FaultPlan& faults, bool admission,
-                    obs::EngineProfiler* profiler) {
-  const auto policy = make_policy(policy_name);
-  EngineConfig config;
-  config.record_schedule = true;
-  config.faults = faults;
-  if (admission) config.admission.max_live = 24;
-  config.profiler = profiler;
-  obs::MemoryTraceSink sink;
-  config.trace = &sink;
-  Variant v;
-  v.result = simulate(instance, *policy, config);
-  v.trace = sink.records();
-  return v;
-}
-
-void expect_same_run_record(const RunRecord& a, const RunRecord& b) {
-  EXPECT_EQ(a.alloc, b.alloc);
-  EXPECT_EQ(a.exec, b.exec);
-  EXPECT_EQ(a.uplink, b.uplink);
-  EXPECT_EQ(a.downlink, b.downlink);
-}
-
-void expect_same_variant(const Variant& a, const Variant& b) {
-  // Completions exact to the bit.
-  EXPECT_EQ(a.result.completions, b.result.completions);
-
-  // Stats field by field (policy_seconds excluded: wall time).
-  const SimStats& sa = a.result.stats;
-  const SimStats& sb = b.result.stats;
-  EXPECT_EQ(sa.events, sb.events);
-  EXPECT_EQ(sa.decisions, sb.decisions);
-  EXPECT_EQ(sa.reassignments, sb.reassignments);
-  EXPECT_EQ(sa.fault_aborts, sb.fault_aborts);
-  EXPECT_EQ(sa.message_losses, sb.message_losses);
-  EXPECT_EQ(sa.preemptions, sb.preemptions);
-  EXPECT_EQ(sa.max_queue_depth, sb.max_queue_depth);
-  EXPECT_EQ(sa.peak_live, sb.peak_live);
-
-  // Fault log entry by entry.
-  ASSERT_EQ(a.result.fault_log.size(), b.result.fault_log.size());
-  for (std::size_t i = 0; i < a.result.fault_log.size(); ++i) {
-    EXPECT_EQ(a.result.fault_log[i].kind, b.result.fault_log[i].kind);
-    EXPECT_EQ(a.result.fault_log[i].job, b.result.fault_log[i].job);
-    EXPECT_EQ(a.result.fault_log[i].time, b.result.fault_log[i].time);
-  }
-
-  // Admission log entry by entry.
-  ASSERT_EQ(a.result.admission_log.size(), b.result.admission_log.size());
-  for (std::size_t i = 0; i < a.result.admission_log.size(); ++i) {
-    EXPECT_EQ(a.result.admission_log[i].job, b.result.admission_log[i].job);
-    EXPECT_EQ(a.result.admission_log[i].time, b.result.admission_log[i].time);
-    EXPECT_EQ(a.result.admission_log[i].shed, b.result.admission_log[i].shed);
-  }
-
-  // Trace streams record by record (TraceRecord == is defaulted).
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(a.trace[i], b.trace[i]) << "trace record " << i;
-  }
-
-  // Interval histories.
-  ASSERT_EQ(a.result.schedule.job_count(), b.result.schedule.job_count());
-  for (int id = 0; id < a.result.schedule.job_count(); ++id) {
-    expect_same_run_record(a.result.schedule.job(id).final_run,
-                           b.result.schedule.job(id).final_run);
-    ASSERT_EQ(a.result.schedule.job(id).abandoned.size(),
-              b.result.schedule.job(id).abandoned.size());
-    for (std::size_t r = 0; r < a.result.schedule.job(id).abandoned.size();
-         ++r) {
-      expect_same_run_record(a.result.schedule.job(id).abandoned[r],
-                             b.result.schedule.job(id).abandoned[r]);
-    }
-  }
-}
-
 // --- 1. A profiled run is bit-identical to an unprofiled one. -------------
 
 TEST(ProfilerInvisibility, ProfiledRunIsBitIdentical) {
-  for (const char* policy : {"srpt", "greedy", "fcfs"}) {
+  for (const char* policy_name : {"srpt", "greedy", "fcfs"}) {
     for (int seed = 0; seed < 6; ++seed) {
-      FaultPlan faults;
-      const Instance instance = make_instance(seed, &faults);
-      const bool admission = seed % 2 == 0;
+      const World world = random_world(seed);
+      const auto policy = make_policy(policy_name);
+      EngineConfig config;
+      if (seed % 2 == 0) config.admission.max_live = 24;
+      const Variant without = run_variant(world, *policy, config);
       obs::EngineProfiler profiler;
-      const Variant with =
-          run_variant(instance, policy, faults, admission, &profiler);
-      const Variant without =
-          run_variant(instance, policy, faults, admission, nullptr);
-      SCOPED_TRACE(std::string(policy) + " seed " + std::to_string(seed));
-      expect_same_variant(with, without);
+      config.profiler = &profiler;
+      expect_same_run(run_variant(world, *policy, config), without,
+                      cell_name(policy_name, seed) + " profiled");
       // And the profiler did observe the run it rode along on.
-      EXPECT_EQ(profiler.report().events, with.result.stats.events);
+      EXPECT_EQ(profiler.report().events, without.result.stats.events);
     }
   }
 }
@@ -248,8 +61,7 @@ TEST(ProfilerInvisibility, ProfiledRunIsBitIdentical) {
 // --- 2. Null path: a warmed resident core allocates nothing. --------------
 
 TEST(ProfilerInvisibility, NullProfilerPathAllocatesNothing) {
-  FaultPlan faults;  // no faults: the cleanest steady-state run
-  const Instance instance = make_instance(0, &faults);
+  const Instance instance = random_world(0).instance;  // fault-free
   const auto policy = make_policy("srpt");
   EngineConfig config;
   config.record_schedule = false;
@@ -270,27 +82,22 @@ TEST(ProfilerInvisibility, NullProfilerPathAllocatesNothing) {
   // contract has never claimed an alloc-free prepare) — the invariant the
   // profiler adds is that the HOT stages stay at exactly zero and prepare
   // stays at its historical count, i.e. the null hooks cost no heap at all.
-  const auto measure = [&](auto&& fn) {
-    const std::size_t before = g_alloc_calls.load(std::memory_order_relaxed);
-    fn();
-    return g_alloc_calls.load(std::memory_order_relaxed) - before;
-  };
-  const std::size_t prepare_a = measure([&] {
+  const std::size_t prepare_a = test::allocations_in([&] {
     policy->reset(instance);
     core.prepare(instance, nullptr, *policy, config);
   });
-  EXPECT_EQ(measure([&] {
+  EXPECT_EQ(test::allocations_in([&] {
               while (!core.step_rounds(0)) {
               }
             }),
             0u)
       << "null-profiler stepping must not touch the heap";
-  EXPECT_EQ(measure([&] { core.finish_into(result); }), 0u)
+  EXPECT_EQ(test::allocations_in([&] { core.finish_into(result); }), 0u)
       << "null-profiler finish must not touch the heap";
 
   // And prepare's count is stable run over run: the null profiler hook
   // contributes nothing there either.
-  const std::size_t prepare_b = measure([&] {
+  const std::size_t prepare_b = test::allocations_in([&] {
     policy->reset(instance);
     core.prepare(instance, nullptr, *policy, config);
   });
@@ -304,8 +111,9 @@ TEST(ProfilerInvisibility, NullProfilerPathAllocatesNothing) {
 // --- 3. The profile itself is coherent. -----------------------------------
 
 TEST(ProfilerReport, LapCountsTileTheRun) {
-  FaultPlan faults;
-  const Instance instance = make_instance(1, &faults);
+  const World world = random_world(1);
+  const Instance& instance = world.instance;
+  const FaultPlan& faults = world.faults;
   const auto policy = make_policy("srpt");
   obs::EngineProfiler profiler;
   EngineConfig config;
@@ -347,8 +155,9 @@ TEST(ProfilerReport, LapCountsTileTheRun) {
 }
 
 TEST(ProfilerReport, MergeAddsExactly) {
-  FaultPlan faults;
-  const Instance instance = make_instance(2, &faults);
+  const World world = random_world(2);
+  const Instance& instance = world.instance;
+  const FaultPlan& faults = world.faults;
   obs::EngineProfiler a;
   obs::EngineProfiler b;
   for (obs::EngineProfiler* profiler : {&a, &b}) {
@@ -377,8 +186,9 @@ TEST(ProfilerReport, MergeAddsExactly) {
 }
 
 TEST(ProfilerReport, ExportsAreWellFormed) {
-  FaultPlan faults;
-  const Instance instance = make_instance(3, &faults);
+  const World world = random_world(3);
+  const Instance& instance = world.instance;
+  const FaultPlan& faults = world.faults;
   const auto policy = make_policy("srpt");
   obs::EngineProfiler profiler;
   EngineConfig config;
@@ -412,8 +222,9 @@ TEST(ProfilerReport, ExportsAreWellFormed) {
 }
 
 TEST(ProfilerReport, BatchDriverMergesPerSlotProfiles) {
-  FaultPlan faults;
-  const Instance instance = make_instance(4, &faults);
+  const World world = random_world(4);
+  const Instance& instance = world.instance;
+  const FaultPlan& faults = world.faults;
   BatchOptions options;
   options.threads = 2;
   options.profile = true;
@@ -474,8 +285,9 @@ TEST(Heartbeat, EmitsTextAndJsonl) {
 }
 
 TEST(Heartbeat, NeverWritesToStdout) {
-  FaultPlan faults;
-  const Instance instance = make_instance(0, &faults);
+  const World world = random_world(0);
+  const Instance& instance = world.instance;
+  const FaultPlan& faults = world.faults;
   const auto policy = make_policy("srpt");
   obs::HeartbeatMonitor monitor(0.0);  // default stream: stderr
   EngineConfig config;
@@ -496,8 +308,9 @@ TEST(Heartbeat, NeverWritesToStdout) {
 // --- 5. Engine gauges surface without a profiler (metrics alone). ---------
 
 TEST(EngineMetrics, ElidedRoundsAndPeakTrackedGauges) {
-  FaultPlan faults;
-  const Instance instance = make_instance(5, &faults);
+  const World world = random_world(5);
+  const Instance& instance = world.instance;
+  const FaultPlan& faults = world.faults;
   const auto policy = make_policy("srpt");
   obs::MetricsRegistry registry;
   EngineConfig config;

@@ -14,6 +14,7 @@
 #include "core/metrics.hpp"
 #include "obs/reason.hpp"
 #include "obs/trace.hpp"
+#include "run_digest.hpp"
 #include "sched/factory.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
@@ -203,13 +204,7 @@ TEST(ProvenanceEngine, ProvenanceRunIsBitIdenticalToPlain) {
   const auto policy = make_policy("failover-ssf-edf");
   const SimResult traced = simulate(instance, *policy, config);
 
-  ASSERT_EQ(plain.completions.size(), traced.completions.size());
-  for (std::size_t i = 0; i < plain.completions.size(); ++i) {
-    EXPECT_EQ(plain.completions[i], traced.completions[i]) << "job " << i;
-  }
-  EXPECT_EQ(plain.stats.events, traced.stats.events);
-  EXPECT_EQ(plain.stats.decisions, traced.stats.decisions);
-  EXPECT_EQ(plain.stats.reassignments, traced.stats.reassignments);
+  expect_same_run(Variant{traced, {}}, Variant{plain, {}}, "provenance run");
 
   // The traced stream actually contains reasoned directives.
   bool directive_seen = false;

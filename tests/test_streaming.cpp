@@ -1,7 +1,9 @@
-// Streaming-engine suite: simulate() and simulate_stream() over the same
-// instance are pinned to recorded run digests — completions, stats,
+// Streaming-engine suite: on the streaming worlds of the run corpus
+// (tests/run_digest.hpp), simulate() and simulate_stream() over the same
+// instance are pinned to each cell's recorded row — completions, stats,
 // schedules, fault logs and trace streams — across policies x seeds x fault
-// plans. On top of that: admission-control semantics (caps hold,
+// plans, and the two runs match in everything but SimStats::peak_tracked.
+// On top of that: admission-control semantics (caps hold,
 // refused jobs leave no recorded activity, validator and online watchdog
 // stay green) and a 1M-job overload soak proving the working set stays
 // flat at the admission cap.
@@ -25,7 +27,6 @@
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 #include "workloads/arrivals.hpp"
-#include "workloads/outages.hpp"
 #include "workloads/random_instances.hpp"
 
 namespace ecs {
@@ -39,79 +40,19 @@ Instance platform_of(const Instance& instance) {
   return base;
 }
 
-struct Variant {
-  SimResult result;
-  std::vector<obs::TraceRecord> trace;
-};
-
-Variant run_simulate(const Instance& instance, const std::string& policy_name,
-                     const FaultPlan& faults) {
-  const auto policy = make_policy(policy_name);
-  EngineConfig config;
-  config.faults = faults;
-  obs::MemoryTraceSink sink;
-  config.trace = &sink;
-  Variant v;
-  v.result = simulate(instance, *policy, config);
-  v.trace = sink.records();
-  return v;
-}
-
-Variant run_streaming(const Instance& instance,
-                      const std::string& policy_name, const FaultPlan& faults,
+Variant run_streaming(const World& world, Policy& policy,
                       const AdmissionConfig& admission = {}) {
-  const auto policy = make_policy(policy_name);
   EngineConfig config;
-  config.faults = faults;
+  config.faults = world.faults;
   config.admission = admission;
   obs::MemoryTraceSink sink;
   config.trace = &sink;
-  InstanceArrivalStream arrivals(instance);
-  const Instance base = platform_of(instance);
+  InstanceArrivalStream arrivals(world.instance);
   Variant v;
-  v.result = simulate_stream(base, arrivals, *policy, config);
+  v.result =
+      simulate_stream(platform_of(world.instance), arrivals, policy, config);
   v.trace = sink.records();
   return v;
-}
-
-Instance equivalence_instance(int seed, FaultPlan* faults) {
-  RandomInstanceConfig cfg;
-  cfg.n = 150;
-  cfg.cloud_count = 3;
-  cfg.slow_edges = 2;
-  cfg.fast_edges = 2;
-  cfg.load = seed % 2 == 0 ? 0.1 : 0.4;
-  cfg.ccr = seed % 3 == 0 ? 5.0 : 1.0;
-  Rng rng(7000 + seed);
-  Instance instance = make_random_instance(cfg, rng);
-
-  if (seed % 2 == 1) {
-    OutageConfig outage_cfg;
-    outage_cfg.fraction = 0.1;
-    outage_cfg.mean_duration = 10.0;
-    outage_cfg.horizon = 500.0;
-    Rng outage_rng(8000 + seed);
-    instance.cloud_outages =
-        make_cloud_outages(cfg.cloud_count, outage_cfg, outage_rng);
-  }
-  if (seed % 3 != 0) {
-    FaultConfig fault_cfg;
-    fault_cfg.crash_rate = 0.002;
-    fault_cfg.mean_repair = 20.0;
-    fault_cfg.loss_rate = 0.005;
-    fault_cfg.horizon = 500.0;
-    Rng fault_rng(9000 + seed);
-    *faults = make_fault_plan(cfg.cloud_count, fault_cfg, fault_rng);
-  }
-  return instance;
-}
-
-/// "edge-only", 3 -> "edge_only_seed3": test and digest-table cell names.
-std::string cell_name(std::string policy_name, int seed) {
-  for (char& c : policy_name) {
-    if (c == '-') c = '_';
-  }
-  return policy_name + "_seed" + std::to_string(seed);
 }
 
 std::span<const StreamDigestRow> streaming_digests();
@@ -121,21 +62,18 @@ class StreamingEquivalence
 
 TEST_P(StreamingEquivalence, BothFrontDoorsMatchRecordedDigests) {
   const auto& [policy_name, seed] = GetParam();
-  FaultPlan faults;
-  const Instance instance = equivalence_instance(seed, &faults);
-  const Variant mat = run_simulate(instance, policy_name, faults);
-  const Variant stream = run_streaming(instance, policy_name, faults);
-  expect_recorded_digest(streaming_digests(), cell_name(policy_name, seed),
-                         world_digest(instance, faults),
-                         run_digest(mat.result, mat.trace),
-                         run_digest(stream.result, stream.trace));
+  const World world = random_world(seed, kStreamingFamily);
+  const auto policy = make_policy(policy_name);
+  const Variant mat = run_variant(world, *policy);
+  const Variant stream = run_streaming(world, *policy);
+  expect_recorded_run(streaming_digests(), cell_name(policy_name, seed),
+                      world_digest(world), mat, stream);
   // The front doors differ only in peak_tracked, which reads 0 for a run
   // over an in-memory instance.
   EXPECT_EQ(mat.result.stats.peak_tracked, 0U);
-  SimResult masked = stream.result;
-  masked.stats.peak_tracked = 0;
-  EXPECT_EQ(run_digest(masked, stream.trace),
-            run_digest(mat.result, mat.trace));
+  Variant masked = stream;
+  masked.result.stats.peak_tracked = 0;
+  expect_same_run(masked, mat, "simulate_stream() run");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -207,7 +145,7 @@ TEST(Admission, RejectNewestCapsTheLiveSet) {
   admission.max_live = 16;
   admission.rule = AdmissionRule::kRejectNewest;
   const Variant v =
-      run_streaming(instance, "srpt", FaultPlan{}, admission);
+      run_streaming(World{instance, {}}, *make_policy("srpt"), admission);
   const SimStats& stats = v.result.stats;
 
   EXPECT_LE(stats.peak_live, 16u);
@@ -237,7 +175,7 @@ TEST(Admission, ShedInfeasibleEvictsHopelessResidents) {
   admission.rule = AdmissionRule::kShedInfeasible;
   admission.stretch_limit = 3.0;
   const Variant v =
-      run_streaming(instance, "fcfs", FaultPlan{}, admission);
+      run_streaming(World{instance, {}}, *make_policy("fcfs"), admission);
   const SimStats& stats = v.result.stats;
 
   EXPECT_GT(stats.sheds, 0u);
@@ -261,7 +199,7 @@ TEST(Admission, RejectHopelessPrefersEvictingTheWorstResident) {
   admission.max_live = 8;
   admission.rule = AdmissionRule::kRejectHopeless;
   const Variant v =
-      run_streaming(instance, "srpt", FaultPlan{}, admission);
+      run_streaming(World{instance, {}}, *make_policy("srpt"), admission);
   const SimStats& stats = v.result.stats;
 
   EXPECT_LE(stats.peak_live, 8u);
@@ -336,15 +274,12 @@ TEST_P(SheddingDigests, RunMatchesRecordedDigest) {
     admission.rule = AdmissionRule::kShedInfeasible;
     admission.stretch_limit = 3.0;
   }
-  const Instance instance = overload_instance();
-  const Variant v =
-      run_streaming(instance, policy_name, FaultPlan{}, admission);
+  const World world{overload_instance(), {}};
+  const Variant v = run_streaming(world, *make_policy(policy_name), admission);
   EXPECT_GT(v.result.stats.sheds, 0u);
   std::string cell = rule + "_" + policy_name;
   std::replace(cell.begin(), cell.end(), '-', '_');
-  expect_recorded_digest(shed_digests(), cell,
-                         world_digest(instance, FaultPlan{}),
-                         run_digest(v.result, v.trace));
+  expect_recorded_run(shed_digests(), cell, world_digest(world), v);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -432,8 +367,7 @@ std::string error_of(const Instance& instance, Policy& policy, bool stream) {
 }
 
 TEST(DirectiveContract, NegativeIdThrowsThroughBothFrontDoors) {
-  FaultPlan faults;
-  const Instance instance = equivalence_instance(0, &faults);
+  const Instance instance = random_world(0, kStreamingFamily).instance;
   for (const bool stream : {false, true}) {
     ExtraDirectivePolicy policy(-1);
     const std::string what = error_of(instance, policy, stream);
@@ -444,8 +378,7 @@ TEST(DirectiveContract, NegativeIdThrowsThroughBothFrontDoors) {
 }
 
 TEST(DirectiveContract, NeverReleasedIdThrowsThroughBothFrontDoors) {
-  FaultPlan faults;
-  const Instance instance = equivalence_instance(0, &faults);
+  const Instance instance = random_world(0, kStreamingFamily).instance;
   // Past the last job of the instance: no release ever names it.
   const JobId unknown = instance.job_count() + 7;
   for (const bool stream : {false, true}) {
@@ -475,7 +408,8 @@ TEST(DirectiveContract, CompletedAndRejectedIdsAreIgnored) {
         run_front_door(instance, stale_policy, stream, config);
     ASSERT_GT(plain.stats.rejections, 0U);
     ASSERT_GT(plain.stats.completed, 0U);
-    EXPECT_EQ(run_digest(stale, {}), run_digest(plain, {}));
+    expect_same_run(Variant{stale, {}}, Variant{plain, {}},
+                    "run with stale directives");
   }
 }
 

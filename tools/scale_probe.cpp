@@ -31,12 +31,12 @@
 // evidence that streaming memory tracks the live set, not the stream
 // length.
 //
-// The legacy positional form `scale_probe [n [ccr [load]]]` keeps working.
+// The probe takes flags only: a positional argument, a malformed value or
+// an unknown policy prints one `error: ...` line and exits 1.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -84,6 +84,9 @@ int run_stream_probe(const ecs::Args& args) {
   const std::string policy_name = args.get_or("policy", "srpt");
   const double heartbeat_s = args.get_double("heartbeat", 0.0);
   args.reject_unread();
+  // An unknown family or policy fails before the table header.
+  const ArrivalFamily arrival_family = parse_arrival_family(family);
+  (void)make_policy(policy_name);
   // Heartbeats go to stderr (the monitor's default); stdout carries only
   // the table, so `scale_probe --stream > table.txt` stays parseable.
   std::optional<obs::HeartbeatMonitor> heartbeat;
@@ -101,7 +104,7 @@ int run_stream_probe(const ecs::Args& args) {
               "peak_live", "tracked", "refused", "wall[s]", "rss[MiB]");
   for (const std::int64_t n : stages) {
     ArrivalConfig acfg;
-    acfg.family = parse_arrival_family(family);
+    acfg.family = arrival_family;
     acfg.n = n;
     acfg.rate = rate;
     acfg.seed = seed;
@@ -135,52 +138,22 @@ int run_stream_probe(const ecs::Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_wall_probe(const ecs::Args& args) {
   using namespace ecs;
-  const Args args = Args::parse(argc, argv);
-  const std::vector<std::string>& pos = args.positional();
-
-  const std::string level_name = args.get_or("log-level", "");
-  if (!level_name.empty()) {
-    const std::optional<LogLevel> level = parse_log_level(level_name);
-    if (!level) {
-      std::cerr << "unknown --log-level '" << level_name
-                << "' (expected debug, info, warn or error)\n";
-      return 2;
-    }
-    set_log_level(*level);
-  }
-
-  if (args.get_bool("stream", false)) {
-    try {
-      return run_stream_probe(args);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
   RandomInstanceConfig cfg;
-  cfg.n = static_cast<int>(
-      args.get_int("n", pos.size() > 0 ? std::atoi(pos[0].c_str()) : 4000));
-  cfg.ccr =
-      args.get_double("ccr", pos.size() > 1 ? std::atof(pos[1].c_str()) : 1.0);
-  cfg.load = args.get_double(
-      "load", pos.size() > 2 ? std::atof(pos[2].c_str()) : 0.05);
+  cfg.n = static_cast<int>(args.get_int("n", 4000));
+  cfg.ccr = args.get_double("ccr", 1.0);
+  cfg.load = args.get_double("load", 0.05);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   std::vector<std::string> names = policy_names();
   const std::string only = args.get_or("policy", "");
-  if (!only.empty()) names = {only};
+  if (!only.empty()) {
+    (void)make_policy(only);  // an unknown name fails before any work
+    names = {only};
+  }
   const std::string trace_path = args.get_or("trace-out", "");
   const std::string metrics_path = args.get_or("metrics-out", "");
-  try {
-    args.reject_unread();
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  args.reject_unread();
 
   Rng rng(seed);
   const Instance instance = make_random_instance(cfg, rng);
@@ -197,12 +170,11 @@ int main(int argc, char** argv) {
     std::optional<obs::PerfettoTraceSink> sink;
     if (!trace_path.empty() && i + 1 == names.size()) {
       trace_file.open(trace_path);
-      if (trace_file) {
-        sink.emplace(trace_file);
-        options.engine.trace = &*sink;
-      } else {
-        std::cerr << "cannot write trace to " << trace_path << "\n";
+      if (!trace_file) {
+        throw std::runtime_error("cannot write trace to " + trace_path);
       }
+      sink.emplace(trace_file);
+      options.engine.trace = &*sink;
     }
     const RunOutcome o = run_policy(instance, name, options);
     std::printf(
@@ -219,11 +191,40 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     std::ofstream metrics_file(metrics_path);
     if (!metrics_file) {
-      std::cerr << "cannot write metrics to " << metrics_path << "\n";
-      return 1;
+      throw std::runtime_error("cannot write metrics to " + metrics_path);
     }
     registry.write_json(metrics_file);
     std::printf("metrics JSON -> %s\n", metrics_path.c_str());
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace ecs;
+  try {
+    const Args args = Args::parse(argc, argv);
+    if (!args.positional().empty()) {
+      throw std::invalid_argument("unexpected argument '" +
+                                  args.positional().front() +
+                                  "': scale_probe takes flags only (--n=N "
+                                  "--ccr=X --load=X)");
+    }
+    const std::string level_name = args.get_or("log-level", "");
+    if (!level_name.empty()) {
+      const std::optional<LogLevel> level = parse_log_level(level_name);
+      if (!level) {
+        throw std::invalid_argument("unknown --log-level '" + level_name +
+                                    "' (expected debug, info, warn or error)");
+      }
+      set_log_level(*level);
+    }
+    return args.get_bool("stream", false) ? run_stream_probe(args)
+                                          : run_wall_probe(args);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}
+
