@@ -81,10 +81,12 @@ struct SweepOptions {
   /// (point, policy) pair; throws if any constraint of section III-B fails
   /// (fault-aware when a fault plan is in play).
   bool validate_first = true;
-  /// Forwarded to every run. engine.metrics (thread-safe) is shared by all
-  /// replications x policies; engine.trace, being a single-run object, is
-  /// forwarded only to replication 0 of the first policy and nulled
-  /// elsewhere.
+  /// Forwarded to every run. engine.metrics (thread-safe, and written in
+  /// an order-free way: counters add, gauges keep their maximum, sketches
+  /// merge exactly) is shared by all replications x policies, so its
+  /// counts do not depend on the thread count; engine.trace, being a
+  /// single-run object, is forwarded only to replication 0 of the first
+  /// policy and nulled elsewhere.
   EngineConfig engine;
   /// Optional per-replication unannounced fault plan (sim/faults.hpp);
   /// overrides engine.faults for every run when set.

@@ -1,9 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -22,24 +22,6 @@ MetricsRegistry::Id get_or_create(std::map<std::string, MetricsRegistry::Id>& id
   return id;
 }
 
-/// Lock-free max update for an atomic double.
-void atomic_max(std::atomic<double>& slot, double value) noexcept {
-  double current = slot.load(std::memory_order_relaxed);
-  while (value > current &&
-         !slot.compare_exchange_weak(current, value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-/// CAS add for an atomic double (fetch_add on floating atomics is C++20;
-/// the CAS loop keeps us independent of library support).
-void atomic_add(std::atomic<double>& slot, double delta) noexcept {
-  double current = slot.load(std::memory_order_relaxed);
-  while (!slot.compare_exchange_weak(current, current + delta,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 MetricsRegistry::Id MetricsRegistry::counter(const std::string& name) {
@@ -50,25 +32,6 @@ MetricsRegistry::Id MetricsRegistry::counter(const std::string& name) {
 MetricsRegistry::Id MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   return get_or_create(gauge_ids_, gauges_, name);
-}
-
-MetricsRegistry::Id MetricsRegistry::timer(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return get_or_create(timer_ids_, timers_, name);
-}
-
-MetricsRegistry::Id MetricsRegistry::histogram(const std::string& name,
-                                               std::vector<double> bounds) {
-  if (bounds.empty()) {
-    throw std::invalid_argument("histogram " + name + ": no buckets");
-  }
-  if (!std::is_sorted(bounds.begin(), bounds.end()) ||
-      std::adjacent_find(bounds.begin(), bounds.end()) != bounds.end()) {
-    throw std::invalid_argument("histogram " + name +
-                                ": bounds must be strictly increasing");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  return get_or_create(hist_ids_, histograms_, name, std::move(bounds));
 }
 
 MetricsRegistry::Id MetricsRegistry::sketch(const std::string& name,
@@ -82,26 +45,13 @@ void MetricsRegistry::add(Id id, std::uint64_t delta) noexcept {
       delta, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::gauge_set(Id id, double value) noexcept {
-  Gauge& g = gauges_[static_cast<std::size_t>(id)];
-  g.last.store(value, std::memory_order_relaxed);
-  atomic_max(g.max, value);
-}
-
-void MetricsRegistry::observe(Id id, double value) noexcept {
-  Histogram& h = histograms_[static_cast<std::size_t>(id)];
-  const auto it = std::lower_bound(h.bounds.begin(), h.bounds.end(), value);
-  const std::size_t bucket =
-      static_cast<std::size_t>(it - h.bounds.begin());  // == size => overflow
-  h.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  h.count.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(h.sum, value);
-}
-
-void MetricsRegistry::add_nanos(Id id, std::uint64_t nanos) noexcept {
-  Timer& t = timers_[static_cast<std::size_t>(id)];
-  t.nanos.fetch_add(nanos, std::memory_order_relaxed);
-  t.count.fetch_add(1, std::memory_order_relaxed);
+void MetricsRegistry::gauge_max(Id id, double value) noexcept {
+  std::atomic<double>& max = gauges_[static_cast<std::size_t>(id)].max;
+  double current = max.load(std::memory_order_relaxed);
+  while (value > current &&
+         !max.compare_exchange_weak(current, value,
+                                    std::memory_order_relaxed)) {
+  }
 }
 
 void MetricsRegistry::sketch_observe(Id id, double value) {
@@ -137,36 +87,11 @@ std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
       std::memory_order_relaxed);
 }
 
-GaugeSnapshot MetricsRegistry::gauge_value(const std::string& name) const {
+double MetricsRegistry::gauge_value(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const Id id = require_id(gauge_ids_, name, "gauge");
-  const Gauge& g = gauges_[static_cast<std::size_t>(id)];
-  return {g.last.load(std::memory_order_relaxed),
-          g.max.load(std::memory_order_relaxed)};
-}
-
-TimerSnapshot MetricsRegistry::timer_value(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Id id = require_id(timer_ids_, name, "timer");
-  const Timer& t = timers_[static_cast<std::size_t>(id)];
-  return {static_cast<double>(t.nanos.load(std::memory_order_relaxed)) * 1e-9,
-          t.count.load(std::memory_order_relaxed)};
-}
-
-HistogramSnapshot MetricsRegistry::histogram_value(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Id id = require_id(hist_ids_, name, "histogram");
-  const Histogram& h = histograms_[static_cast<std::size_t>(id)];
-  HistogramSnapshot snap;
-  snap.bounds = h.bounds;
-  snap.counts.reserve(h.counts.size());
-  for (const auto& c : h.counts) {
-    snap.counts.push_back(c.load(std::memory_order_relaxed));
-  }
-  snap.count = h.count.load(std::memory_order_relaxed);
-  snap.sum = h.sum.load(std::memory_order_relaxed);
-  return snap;
+  return gauges_[static_cast<std::size_t>(id)].max.load(
+      std::memory_order_relaxed);
 }
 
 QuantileSketch MetricsRegistry::sketch_value(const std::string& name) const {
@@ -196,39 +121,9 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   out << "\n  },\n  \"gauges\": {";
   first = true;
   for (const auto& [name, id] : gauge_ids_) {
-    const Gauge& g = gauges_[static_cast<std::size_t>(id)];
-    out << (first ? "" : ",") << "\n    " << key(name) << "{\"last\":"
-        << json::number(g.last.load(std::memory_order_relaxed))
-        << ",\"max\":" << json::number(g.max.load(std::memory_order_relaxed))
-        << "}";
-    first = false;
-  }
-  out << "\n  },\n  \"timers\": {";
-  first = true;
-  for (const auto& [name, id] : timer_ids_) {
-    const Timer& t = timers_[static_cast<std::size_t>(id)];
-    out << (first ? "" : ",") << "\n    " << key(name) << "{\"seconds\":"
-        << json::number(
-               static_cast<double>(t.nanos.load(std::memory_order_relaxed)) *
-               1e-9)
-        << ",\"count\":" << t.count.load(std::memory_order_relaxed) << "}";
-    first = false;
-  }
-  out << "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, id] : hist_ids_) {
-    const Histogram& h = histograms_[static_cast<std::size_t>(id)];
-    out << (first ? "" : ",") << "\n    " << key(name) << "{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      out << (i == 0 ? "" : ",") << json::number(h.bounds[i]);
-    }
-    out << "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      out << (i == 0 ? "" : ",")
-          << h.counts[i].load(std::memory_order_relaxed);
-    }
-    out << "],\"sum\":" << json::number(h.sum.load(std::memory_order_relaxed))
-        << ",\"count\":" << h.count.load(std::memory_order_relaxed) << "}";
+    out << (first ? "" : ",") << "\n    " << key(name)
+        << json::number(gauges_[static_cast<std::size_t>(id)].max.load(
+               std::memory_order_relaxed));
     first = false;
   }
   out << "\n  },\n  \"sketches\": {";
@@ -286,42 +181,12 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
         << "\n";
   }
   for (const auto& [name, id] : gauge_ids_) {
-    const Gauge& g = gauges_[static_cast<std::size_t>(id)];
     const std::string n = prom_name(name);
-    out << "# TYPE " << n << "_last gauge\n"
-        << n << "_last " << prom_value(g.last.load(std::memory_order_relaxed))
-        << "\n"
-        << "# TYPE " << n << "_max gauge\n"
-        << n << "_max " << prom_value(g.max.load(std::memory_order_relaxed))
+    out << "# TYPE " << n << " gauge\n"
+        << n << " "
+        << prom_value(gauges_[static_cast<std::size_t>(id)].max.load(
+               std::memory_order_relaxed))
         << "\n";
-  }
-  for (const auto& [name, id] : timer_ids_) {
-    const Timer& t = timers_[static_cast<std::size_t>(id)];
-    const std::string n = prom_name(name);
-    out << "# TYPE " << n << "_seconds_total counter\n"
-        << n << "_seconds_total "
-        << prom_value(
-               static_cast<double>(t.nanos.load(std::memory_order_relaxed)) *
-               1e-9)
-        << "\n"
-        << "# TYPE " << n << "_count counter\n"
-        << n << "_count " << t.count.load(std::memory_order_relaxed) << "\n";
-  }
-  for (const auto& [name, id] : hist_ids_) {
-    const Histogram& h = histograms_[static_cast<std::size_t>(id)];
-    const std::string n = prom_name(name);
-    out << "# TYPE " << n << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      cumulative += h.counts[i].load(std::memory_order_relaxed);
-      out << n << "_bucket{le=\"" << prom_value(h.bounds[i]) << "\"} "
-          << cumulative << "\n";
-    }
-    cumulative += h.counts[h.bounds.size()].load(std::memory_order_relaxed);
-    out << n << "_bucket{le=\"+Inf\"} " << cumulative << "\n"
-        << n << "_sum " << prom_value(h.sum.load(std::memory_order_relaxed))
-        << "\n"
-        << n << "_count " << h.count.load(std::memory_order_relaxed) << "\n";
   }
   for (const auto& [name, id] : sketch_ids_) {
     const Sketch& s = sketches_[static_cast<std::size_t>(id)];

@@ -216,22 +216,14 @@ void ProfileReport::to_metrics(MetricsRegistry& registry) const {
     const std::string base =
         std::string("engine.profile.phase.") +
         to_string(static_cast<EnginePhase>(i));
-    registry.add_nanos(registry.timer(base),
-                       static_cast<std::uint64_t>(phases[i].ns));
+    registry.add(registry.counter(base + ".ns"),
+                 static_cast<std::uint64_t>(phases[i].ns));
     registry.add(registry.counter(base + ".laps"), phases[i].count);
   }
   registry.add(registry.counter("engine.profile.runs"), runs);
   registry.add(registry.counter("engine.profile.rounds"), rounds);
-  registry.add(registry.counter("engine.profile.events"), events);
-  registry.add(registry.counter("engine.profile.decisions"), decisions);
-  registry.add(registry.counter("engine.profile.elided_rounds"),
-               elided_rounds);
   registry.add(registry.counter("engine.profile.scanned_slots"),
                scanned_slots);
-  registry.gauge_set(registry.gauge("engine.profile.peak_live"),
-                     static_cast<double>(peak_live));
-  registry.gauge_set(registry.gauge("engine.profile.peak_tracked"),
-                     static_cast<double>(peak_tracked));
   for (const auto& [policy, sketch] : decision_ns) {
     registry.sketch_merge(
         registry.sketch("engine.profile.decision_ns." + policy,

@@ -137,10 +137,12 @@ struct ProfileReport {
   /// run's trace must stay byte-identical to an unprofiled one.
   void write_perfetto(std::ostream& out) const;
 
-  /// Exports into a MetricsRegistry (Prometheus reach): per-phase timers
-  /// ("engine.profile.phase.<name>") and call counters, the diagnostic
-  /// counters/gauges, and the decision sketches
-  /// ("engine.profile.decision_ns.<policy>", merged exactly).
+  /// Exports into a MetricsRegistry (Prometheus reach): per-phase counters
+  /// ("engine.profile.phase.<name>.ns" and ".laps"), the runs, rounds and
+  /// scanned_slots counters, and the decision sketches
+  /// ("engine.profile.decision_ns.<policy>", merged exactly). Events,
+  /// decisions, elided rounds and the peaks are the engine's own series
+  /// (engine.*), which a run with the registry attached writes itself.
   void to_metrics(MetricsRegistry& registry) const;
 
   /// Human-readable phase table (the trace_inspect --profile rendering).

@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/validate.hpp"
 #include "obs/heartbeat.hpp"
@@ -38,28 +39,6 @@ namespace {
 }
 
 }  // namespace
-
-EngineInstruments::EngineInstruments(obs::MetricsRegistry& registry)
-    : events(registry.counter("engine.events")),
-      decisions(registry.counter("engine.decisions")),
-      reassignments(registry.counter("engine.reassignments")),
-      preemptions(registry.counter("engine.preemptions")),
-      fault_aborts(registry.counter("engine.fault_aborts")),
-      uplink_retransmits(registry.counter("engine.uplink_retransmits")),
-      downlink_retransmits(registry.counter("engine.downlink_retransmits")),
-      message_losses(registry.counter("engine.message_losses")),
-      rejections(registry.counter("engine.rejections")),
-      sheds(registry.counter("engine.sheds")),
-      elided_rounds(registry.counter("engine.elided_rounds")),
-      queue_depth(registry.gauge("engine.ready_queue_depth")),
-      peak_live(registry.gauge("engine.peak_live")),
-      peak_tracked(registry.gauge("engine.peak_tracked")),
-      stretch(registry.histogram(
-          "job.stretch", {1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0,
-                          24.0, 32.0, 64.0, 128.0})),
-      queue_wait(registry.histogram(
-          "job.queue_wait",
-          {0.0, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0})) {}
 
 void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
                          Policy& policy, const EngineConfig& config) {
@@ -93,8 +72,6 @@ void EngineCore::prepare(const Instance& instance, ArrivalStream* stream,
   profiler_ = config.profiler;
   heartbeat_ = config.heartbeat;
   if (profiler_ != nullptr) profiler_->begin_run(policy.name());
-  ids_.reset();
-  if (metrics_ != nullptr) ids_.emplace(*metrics_);
   require_valid_instance(*instance_);
   config_.faults.normalize();
   require_valid_fault_plan(config_.faults, *platform_);
@@ -118,6 +95,8 @@ void EngineCore::init() {
   pool_.reset(0);
   recorders_.clear();
   started_.clear();
+  stretch_.clear();
+  queue_wait_.clear();
   live_.clear();
   seen_round_.clear();
   spans_.clear();
@@ -711,9 +690,6 @@ void EngineCore::decide_and_activate() {
   //    pass over the pool.
   const std::uint64_t waiting = live_.size() - granted_;
   if (waiting > stats_.max_queue_depth) stats_.max_queue_depth = waiting;
-  if (metrics_ != nullptr) {
-    metrics_->gauge_set(ids_->queue_depth, static_cast<double>(waiting));
-  }
   if (trace_samples_) sample_counters(waiting);
   if (profiler_ != nullptr) profiler_->lap(obs::EnginePhase::kEmit);
 }
@@ -908,7 +884,7 @@ void EngineCore::try_activate(const std::int32_t slot) {
   if (started_[slot] == 0) {
     started_[slot] = 1;
     if (metrics_ != nullptr) {
-      metrics_->observe(ids_->queue_wait, now_ - pool_.job(slot).release);
+      queue_wait_.observe(now_ - pool_.job(slot).release);
     }
   }
   if (trace_ != nullptr) {
@@ -1041,9 +1017,7 @@ void EngineCore::advance_to_next_event() {
       const double denom = best > 0.0 ? best : 1.0;
       const double stretch = (now_ - pool_.job(slot).release) / denom;
       stats_.max_stretch = std::max(stats_.max_stretch, stretch);
-      if (metrics_ != nullptr) {
-        metrics_->observe(ids_->stretch, stretch);
-      }
+      if (metrics_ != nullptr) stretch_.observe(stretch);
       if (trace_ != nullptr) {
         trace_instant(obs::TracePoint::kCompletion, slot, -1, stretch);
       }
@@ -1250,24 +1224,33 @@ void EngineCore::finish_into(SimResult& out) {
   // The id map's high-water mark is reported for a caller's stream only; a
   // run over an in-memory instance reads 0, as documented on SimStats.
   stats_.peak_tracked = stream_ == &replay_ ? 0 : peak_tracked_;
-  // Counters mirroring SimStats are added in bulk here so the registry and
-  // the returned stats are consistent by construction.
+  // The run's one write to the registry: counters mirroring SimStats,
+  // high-water gauges and the run's sketches, so the registry and the
+  // returned stats are consistent by construction.
   if (metrics_ != nullptr) {
-    metrics_->add(ids_->events, stats_.events);
-    metrics_->add(ids_->decisions, stats_.decisions);
-    metrics_->add(ids_->reassignments, stats_.reassignments);
-    metrics_->add(ids_->preemptions, stats_.preemptions);
-    metrics_->add(ids_->fault_aborts, stats_.fault_aborts);
-    metrics_->add(ids_->uplink_retransmits, stats_.uplink_retransmits);
-    metrics_->add(ids_->downlink_retransmits, stats_.downlink_retransmits);
-    metrics_->add(ids_->message_losses, stats_.message_losses);
-    metrics_->add(ids_->rejections, stats_.rejections);
-    metrics_->add(ids_->sheds, stats_.sheds);
-    metrics_->add(ids_->elided_rounds, elided_rounds_);
-    metrics_->gauge_set(ids_->peak_live,
-                        static_cast<double>(stats_.peak_live));
-    metrics_->gauge_set(ids_->peak_tracked,
-                        static_cast<double>(stats_.peak_tracked));
+    obs::MetricsRegistry& m = *metrics_;
+    const std::pair<const char*, std::uint64_t> counters[] = {
+        {"engine.events", stats_.events},
+        {"engine.decisions", stats_.decisions},
+        {"engine.reassignments", stats_.reassignments},
+        {"engine.preemptions", stats_.preemptions},
+        {"engine.fault_aborts", stats_.fault_aborts},
+        {"engine.uplink_retransmits", stats_.uplink_retransmits},
+        {"engine.downlink_retransmits", stats_.downlink_retransmits},
+        {"engine.message_losses", stats_.message_losses},
+        {"engine.rejections", stats_.rejections},
+        {"engine.sheds", stats_.sheds},
+        {"engine.elided_rounds", elided_rounds_}};
+    for (const auto& [name, value] : counters) m.add(m.counter(name), value);
+    const std::pair<const char*, std::uint64_t> gauges[] = {
+        {"engine.peak_live", stats_.peak_live},
+        {"engine.peak_tracked", stats_.peak_tracked},
+        {"engine.max_queue_depth", stats_.max_queue_depth}};
+    for (const auto& [name, value] : gauges) {
+      m.gauge_max(m.gauge(name), static_cast<double>(value));
+    }
+    m.sketch_merge(m.sketch("job.stretch"), stretch_);
+    m.sketch_merge(m.sketch("job.queue_wait"), queue_wait_);
   }
   if (trace_ != nullptr) trace_->end_trace(now_);
   out.stats = stats_;

@@ -127,9 +127,10 @@ struct EngineConfig {
   /// Null (the default) costs nothing: every emission sits behind a null
   /// check and a traced run is bit-identical to an untraced one.
   obs::TraceSink* trace = nullptr;
-  /// Optional metrics registry (obs/metrics.hpp): stretch / queue-wait
-  /// histograms, and counters and gauges mirroring SimStats. Phase timers
-  /// come from the profiler (ProfileReport::to_metrics), not from here. Not
+  /// Optional metrics registry (obs/metrics.hpp), written once at the end
+  /// of the run: counters and high-water gauges mirroring SimStats, and
+  /// the job.stretch / job.queue_wait quantile sketches. Phase times come
+  /// from the profiler (ProfileReport::to_metrics), not from here. Not
   /// owned; thread-safe, so one registry may be shared across the runs of a
   /// parallel sweep to accumulate totals. Null = no bookkeeping.
   obs::MetricsRegistry* metrics = nullptr;

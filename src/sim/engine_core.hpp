@@ -33,22 +33,6 @@
 namespace ecs {
 namespace detail {
 
-/// Metric-instrument handles, resolved once per run so the hot path never
-/// touches the registry's name maps. Only valid when a registry is set.
-struct EngineInstruments {
-  using Id = obs::MetricsRegistry::Id;
-  Id events, decisions, reassignments, preemptions, fault_aborts;
-  Id uplink_retransmits, downlink_retransmits, message_losses;
-  Id rejections, sheds;       ///< admission-control refusals
-  Id elided_rounds;           ///< decision rounds skipped via ElisionContract
-  Id queue_depth;             ///< gauge; its max mirrors max_queue_depth
-  Id peak_live;               ///< gauge; live-set high-water mark
-  Id peak_tracked;            ///< gauge; id-map high-water mark
-  Id stretch, queue_wait;     ///< histograms
-
-  explicit EngineInstruments(obs::MetricsRegistry& registry);
-};
-
 /// Per-job recording of the currently open activity interval plus the
 /// in-progress run record.
 struct ActivityRecorder {
@@ -308,12 +292,15 @@ class EngineCore {
 
   // --- observability (null sinks = everything below stays idle) ---
   obs::TraceSink* trace_ = nullptr;
+  /// Written once, by finish_into(); the two sketches below are the run's
+  /// private share of its job.* distributions, fed only when it is set.
   obs::MetricsRegistry* metrics_ = nullptr;
+  obs::QuantileSketch stretch_;     ///< stretch, at completion
+  obs::QuantileSketch queue_wait_;  ///< release to first activation
   /// Self-profiler (obs/profiler.hpp): lap hooks at every phase boundary
   /// of step(). Null costs one predicted branch per boundary.
   obs::EngineProfiler* profiler_ = nullptr;
   obs::HeartbeatMonitor* heartbeat_ = nullptr;  ///< ticked once per round
-  std::optional<EngineInstruments> ids_;  ///< engaged iff metrics_ != nullptr
   obs::TeeTraceSink tee_;  ///< user sink + watchdog, when both are set
   /// Cached trace_->wants_samples(): gates the per-round kDecision instant
   /// and the counter samples, which sinks like the watchdog never read.

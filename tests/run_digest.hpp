@@ -10,9 +10,10 @@
 //   * the recorded table of every factory policy on every corpus world
 //     under the default configuration (policy_digests);
 //   * two checks: expect_recorded_run pins a run to its cell's recorded
-//     row, and expect_same_run pins a run to another run of the same cell
-//     and, on a mismatch, names the first differing completion, stat
-//     field, log entry, schedule entry or trace record.
+//     row and, on drift, writes the run's trace to drift/<cell>.jsonl;
+//     expect_same_run pins a run to another run of the same cell and, on a
+//     mismatch, names the first differing completion, stat field, log
+//     entry, schedule entry or trace record.
 // Each suite is written as "every variant of a cell matches the cell's one
 // recorded row": the first variant is checked against the row, every other
 // one against the first.
@@ -25,9 +26,9 @@
 // host whose libm makes the generators draw a different world reports a
 // generator mismatch instead of schedule drift.
 //
-// The recorded values hold for the portable build (no -march flags, no
-// floating-point contraction). A -DECS_NATIVE=ON build may contract
-// multiply-adds into FMA and legitimately produce different bits.
+// The recorded values hold for every build of the tree: the top-level
+// CMakeLists.txt compiles with -ffp-contract=off, so a -DECS_NATIVE=ON
+// build on an FMA host does not fuse multiply-adds either.
 //
 // Updating: when a behaviour change is intended, the failing check prints
 // the replacement table row; paste it over the old one and let the commit
@@ -40,6 +41,8 @@
 #include <cstdint>
 #include <ostream>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -47,6 +50,7 @@
 #include <vector>
 
 #include "core/schedule.hpp"
+#include "obs/jsonl_sink.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
@@ -468,19 +472,34 @@ struct StreamDigestRow {
 
 namespace detail {
 
+/// Writes `v`'s trace as JSONL to drift/<name>.jsonl under the working
+/// directory and returns the path. The same file from two builds diffs
+/// down to the first differing record.
+inline std::string write_drift_trace(const std::string& name,
+                                     const Variant& v) {
+  std::filesystem::create_directories("drift");
+  const std::string path = "drift/" + name + ".jsonl";
+  std::ofstream out(path);
+  obs::JsonlTraceSink sink(out);
+  for (const obs::TraceRecord& rec : v.trace) sink.record(rec);
+  return path;
+}
+
 inline void expect_recorded_runs(const std::string& cell, bool found,
                                  std::uint64_t recorded_world,
                                  std::span<const std::uint64_t> recorded,
                                  std::uint64_t world,
-                                 std::span<const std::uint64_t> runs) {
+                                 std::span<const Variant* const> runs) {
+  std::vector<std::uint64_t> digests;
+  for (const Variant* run : runs) digests.push_back(run_digest(*run));
   std::string row = "{\"" + cell + "\"";
   char hex[24];
   std::snprintf(hex, sizeof hex, ", 0x%016llx",
                 static_cast<unsigned long long>(world));
   row += hex;
-  for (const std::uint64_t run : runs) {
+  for (const std::uint64_t digest : digests) {
     std::snprintf(hex, sizeof hex, ", 0x%016llx",
-                  static_cast<unsigned long long>(run));
+                  static_cast<unsigned long long>(digest));
     row += hex;
   }
   row += "},";
@@ -497,10 +516,15 @@ inline void expect_recorded_runs(const std::string& cell, bool found,
                   << row;
     return;
   }
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(recorded[i], runs[i])
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    if (recorded[i] == digests[i]) continue;
+    const std::string name =
+        i == 0 ? cell : cell + ".column" + std::to_string(i + 1);
+    EXPECT_EQ(recorded[i], digests[i])
         << "run digest drift in " << cell << " (column " << i + 1
-        << "). If the change is intended, replace the row with:\n    " << row;
+        << "); its trace is in " << write_drift_trace(name, *runs[i])
+        << ". If the change is intended, replace the row with:\n    "
+        << row;
   }
 }
 
@@ -515,11 +539,12 @@ const Row* find_row(std::span<const Row> table, const std::string& cell) {
 }  // namespace detail
 
 /// Checks one cell's run against its table row. On a missing row or a
-/// mismatch the failure message carries the replacement row.
+/// mismatch the failure message carries the replacement row; on a
+/// mismatch it also names the file the run's trace was written to.
 inline void expect_recorded_run(std::span<const DigestRow> table,
                                 const std::string& cell, std::uint64_t world,
                                 const Variant& run) {
-  const std::uint64_t runs[] = {run_digest(run)};
+  const Variant* const runs[] = {&run};
   const DigestRow* row = detail::find_row(table, cell);
   const std::uint64_t recorded[] = {row != nullptr ? row->run : 0};
   detail::expect_recorded_runs(cell, row != nullptr,
@@ -531,7 +556,7 @@ inline void expect_recorded_run(std::span<const DigestRow> table,
 inline void expect_recorded_run(std::span<const StreamDigestRow> table,
                                 const std::string& cell, std::uint64_t world,
                                 const Variant& run, const Variant& stream_run) {
-  const std::uint64_t runs[] = {run_digest(run), run_digest(stream_run)};
+  const Variant* const runs[] = {&run, &stream_run};
   const StreamDigestRow* row = detail::find_row(table, cell);
   const std::uint64_t recorded[] = {row != nullptr ? row->run : 0,
                                     row != nullptr ? row->stream_run : 0};

@@ -368,9 +368,9 @@ TEST(Engine, StatsMatchMetricsRegistryTotals) {
   EXPECT_EQ(registry.counter_value("engine.reassignments"),
             result.stats.reassignments);
   EXPECT_EQ(static_cast<std::uint64_t>(
-                registry.gauge_value("engine.ready_queue_depth").max),
+                registry.gauge_value("engine.max_queue_depth")),
             result.stats.max_queue_depth);
-  EXPECT_EQ(registry.histogram_value("job.stretch").count, 2u);
+  EXPECT_EQ(registry.sketch_value("job.stretch").count(), 2u);
 }
 
 TEST(Engine, MessageLossesSplitIntoRetransmitCounters) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "obs/json.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
@@ -195,57 +196,32 @@ TEST(ObsPerfetto, ValidJsonMonotoneTracksAndFlowEvents) {
   EXPECT_TRUE(flow_end);
 }
 
-TEST(ObsMetrics, HistogramBucketMath) {
-  obs::MetricsRegistry registry;
-  const obs::MetricsRegistry::Id id = registry.histogram("h", {1.0, 2.0, 4.0});
-  for (const double v : {0.5, 1.0, 1.5, 2.0, 3.0, 8.0}) {
-    registry.observe(id, v);
-  }
-  const obs::HistogramSnapshot snap = registry.histogram_value("h");
-  ASSERT_EQ(snap.counts.size(), 4u);  // 3 finite buckets + overflow
-  EXPECT_EQ(snap.counts[0], 2u);      // v <= 1       : 0.5, 1.0
-  EXPECT_EQ(snap.counts[1], 2u);      // 1 < v <= 2   : 1.5, 2.0
-  EXPECT_EQ(snap.counts[2], 1u);      // 2 < v <= 4   : 3.0
-  EXPECT_EQ(snap.counts[3], 1u);      // v > 4        : 8.0
-  EXPECT_EQ(snap.count, 6u);
-  EXPECT_NEAR(snap.sum, 16.0, 1e-12);
-  // Re-registration returns the same instrument; malformed bounds throw.
-  EXPECT_EQ(registry.histogram("h", {9.0}), id);
-  EXPECT_THROW((void)registry.histogram("bad", {}), std::invalid_argument);
-  EXPECT_THROW((void)registry.histogram("bad", {2.0, 1.0}),
-               std::invalid_argument);
-}
-
-TEST(ObsMetrics, CountersGaugesTimersAndJson) {
+TEST(ObsMetrics, CountersGaugesAndJson) {
   obs::MetricsRegistry registry;
   registry.add(registry.counter("c"), 5);
   registry.add(registry.counter("c"), 2);
   const obs::MetricsRegistry::Id g = registry.gauge("g");
-  registry.gauge_set(g, 2.5);
-  registry.gauge_set(g, 1.5);
-  registry.add_nanos(registry.timer("t"), 1'500'000'000ULL);
-  registry.observe(registry.histogram("h", {1.0}), 0.5);
+  EXPECT_EQ(registry.gauge("g"), g);
+  registry.gauge_max(g, 2.5);
+  registry.gauge_max(g, 1.5);  // a high-water gauge keeps 2.5
+  registry.sketch_observe(registry.sketch("s"), 4.0);
 
   EXPECT_EQ(registry.counter_value("c"), 7u);
-  EXPECT_DOUBLE_EQ(registry.gauge_value("g").last, 1.5);
-  EXPECT_DOUBLE_EQ(registry.gauge_value("g").max, 2.5);
-  EXPECT_DOUBLE_EQ(registry.timer_value("t").seconds, 1.5);
-  EXPECT_EQ(registry.timer_value("t").count, 1u);
+  EXPECT_DOUBLE_EQ(registry.gauge_value("g"), 2.5);
   EXPECT_THROW((void)registry.counter_value("missing"), std::out_of_range);
+  EXPECT_THROW((void)registry.gauge_value("missing"), std::out_of_range);
 
   std::ostringstream out;
   registry.write_json(out);
   const obs::json::Value root = obs::json::parse(out.str());
   EXPECT_EQ(root.at("counters").at("c").as_int(), 7);
-  EXPECT_DOUBLE_EQ(root.at("gauges").at("g").at("last").as_number(), 1.5);
-  EXPECT_DOUBLE_EQ(root.at("gauges").at("g").at("max").as_number(), 2.5);
-  EXPECT_DOUBLE_EQ(root.at("timers").at("t").at("seconds").as_number(), 1.5);
-  EXPECT_EQ(root.at("histograms").at("h").at("count").as_int(), 1);
-  ASSERT_TRUE(root.at("histograms").at("h").at("counts").is_array());
-  EXPECT_EQ(root.at("histograms").at("h").at("counts").array.size(), 2u);
+  EXPECT_DOUBLE_EQ(root.at("gauges").at("g").as_number(), 2.5);
+  EXPECT_EQ(root.at("sketches").at("s").at("count").as_int(), 1);
+  // Exactly the three families.
+  EXPECT_EQ(root.object.size(), 3u);
 }
 
-TEST(ObsMetrics, EnginePhaseTimersComeOnlyFromTheProfiler) {
+TEST(ObsMetrics, EngineWritesStatsAndTheProfilerWritesPhases) {
   const Instance instance = busy_instance();
   obs::MetricsRegistry registry;
   obs::EngineProfiler profiler;
@@ -254,14 +230,7 @@ TEST(ObsMetrics, EnginePhaseTimersComeOnlyFromTheProfiler) {
   const auto policy = make_policy("srpt");
   const SimResult result = simulate(instance, *policy, config);
 
-  // The engine registers no wall-clock phase timer of its own...
-  for (const char* phase : {"policy", "allocate", "activate", "faults"}) {
-    EXPECT_THROW((void)registry.timer_value(std::string("engine.phase.") +
-                                            phase),
-                 std::out_of_range)
-        << phase;
-  }
-  // ...while its counters still mirror SimStats.
+  // The engine's counters, gauges and sketches mirror SimStats...
   EXPECT_EQ(registry.counter_value("engine.events"), result.stats.events);
   EXPECT_EQ(registry.counter_value("engine.decisions"),
             result.stats.decisions);
@@ -269,17 +238,61 @@ TEST(ObsMetrics, EnginePhaseTimersComeOnlyFromTheProfiler) {
             result.stats.reassignments);
   EXPECT_EQ(registry.counter_value("engine.preemptions"),
             result.stats.preemptions);
-  EXPECT_EQ(registry.gauge_value("engine.ready_queue_depth").max,
+  EXPECT_EQ(registry.gauge_value("engine.max_queue_depth"),
             static_cast<double>(result.stats.max_queue_depth));
-  EXPECT_EQ(registry.histogram_value("job.stretch").count,
+  EXPECT_EQ(registry.gauge_value("engine.peak_live"),
+            static_cast<double>(result.stats.peak_live));
+  EXPECT_EQ(registry.sketch_value("job.stretch").count(),
+            static_cast<std::uint64_t>(instance.job_count()));
+  EXPECT_EQ(registry.sketch_value("job.stretch").max(),
+            result.stats.max_stretch);
+  EXPECT_EQ(registry.sketch_value("job.queue_wait").count(),
             static_cast<std::uint64_t>(instance.job_count()));
 
-  // Phase timers reach a registry through the profiler's report.
+  // ...and phase times reach a registry through the profiler's report,
+  // which leaves the series the engine writes to the engine.
   config.profiler = &profiler;
   const auto profiled = make_policy("srpt");
   (void)simulate(instance, *profiled, config);
   profiler.report().to_metrics(registry);
-  EXPECT_GT(registry.timer_value("engine.profile.phase.decide").count, 0u);
+  EXPECT_GT(registry.counter_value("engine.profile.phase.decide.ns"), 0u);
+  EXPECT_GT(registry.counter_value("engine.profile.phase.decide.laps"), 0u);
+  EXPECT_THROW((void)registry.counter_value("engine.profile.events"),
+               std::out_of_range);
+  EXPECT_THROW((void)registry.gauge_value("engine.profile.peak_live"),
+               std::out_of_range);
+}
+
+// The registry's stretch sketch, fed by the engine at each completion,
+// equals a sketch built independently from the completion times.
+TEST(ObsMetrics, StretchSketchMatchesTheCompletionsPath) {
+  for (const std::string policy_name : {"srpt", "ssf-edf"}) {
+    for (const int w : {0, 1}) {
+      SCOPED_TRACE(cell_name(policy_name, w));
+      const World world = corpus_world(w);
+      obs::MetricsRegistry registry;
+      EngineConfig config;
+      config.metrics = &registry;
+      const auto policy = make_policy(policy_name);
+      const Variant v = run_variant(world, *policy, config, false);
+
+      obs::QuantileSketch want;
+      for (const JobMetrics& jm :
+           metrics_from_completions(world.instance, v.result.completions)
+               .per_job) {
+        want.observe(jm.stretch);
+      }
+      const obs::QuantileSketch got = registry.sketch_value("job.stretch");
+      ASSERT_EQ(got.count(), want.count());
+      EXPECT_EQ(got.min(), want.min());
+      EXPECT_EQ(got.max(), want.max());
+      for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+        EXPECT_EQ(got.quantile(q), want.quantile(q)) << "q " << q;
+      }
+      // Buckets are order-free; the sum is added in completion order.
+      EXPECT_NEAR(got.sum(), want.sum(), 1e-12 * want.sum());
+    }
+  }
 }
 
 TEST(ObsTrace, TeeWantsSamplesWhenAnyChildDoes) {
@@ -354,13 +367,8 @@ TEST(ObsMetrics, SketchFamilyAndJson) {
 TEST(ObsMetrics, PrometheusExposition) {
   obs::MetricsRegistry registry;
   registry.add(registry.counter("engine.events"), 42);
-  registry.gauge_set(registry.gauge("queue.depth"), 3.0);
-  registry.add_nanos(registry.timer("decide"), 2'000'000'000ULL);
-  const auto h = registry.histogram("job.stretch", {1.0, 2.0});
-  registry.observe(h, 0.5);
-  registry.observe(h, 1.5);
-  registry.observe(h, 9.0);
-  const auto sk = registry.sketch("stretch.sketch");
+  registry.gauge_max(registry.gauge("queue.depth"), 3.0);
+  const auto sk = registry.sketch("job.stretch");
   for (int i = 1; i <= 10; ++i) {
     registry.sketch_observe(sk, static_cast<double>(i));
   }
@@ -369,22 +377,20 @@ TEST(ObsMetrics, PrometheusExposition) {
   registry.write_prometheus(out);
   const std::string text = out.str();
   // Names sanitized to the Prometheus charset, one TYPE line per family.
-  EXPECT_NE(text.find("# TYPE engine_events counter"), std::string::npos);
-  EXPECT_NE(text.find("engine_events 42"), std::string::npos);
-  EXPECT_NE(text.find("queue_depth_last gauge"), std::string::npos);
-  EXPECT_NE(text.find("decide_seconds_total 2"), std::string::npos);
-  // Histogram buckets are cumulative and end at +Inf == count.
-  EXPECT_NE(text.find("job_stretch_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("job_stretch_bucket{le=\"2\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("job_stretch_bucket{le=\"+Inf\"} 3"),
+  EXPECT_NE(text.find("# TYPE engine_events counter\nengine_events 42\n"),
             std::string::npos);
-  EXPECT_NE(text.find("job_stretch_count 3"), std::string::npos);
-  // Sketches export as quantile summaries.
-  EXPECT_NE(text.find("stretch_sketch{quantile=\"0.5\"}"),
+  // A gauge is one series: its high-water mark.
+  EXPECT_NE(text.find("# TYPE queue_depth gauge\nqueue_depth 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("stretch_sketch{quantile=\"0.999\"}"),
+  // Sketches export as quantile summaries; nothing is a histogram.
+  EXPECT_NE(text.find("# TYPE job_stretch summary"), std::string::npos);
+  EXPECT_NE(text.find("job_stretch{quantile=\"0.5\"}"), std::string::npos);
+  EXPECT_NE(text.find("job_stretch{quantile=\"0.999\"}"),
             std::string::npos);
-  EXPECT_NE(text.find("stretch_sketch_count 10"), std::string::npos);
+  EXPECT_NE(text.find("job_stretch_count 10"), std::string::npos);
+  EXPECT_NE(text.find("job_stretch_max 10"), std::string::npos);
+  EXPECT_EQ(text.find(" histogram"), std::string::npos);
+  EXPECT_EQ(text.find("_last"), std::string::npos);
 }
 
 TEST(ObsTrace, PointNamesRoundTrip) {

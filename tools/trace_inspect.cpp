@@ -8,7 +8,7 @@
 // processors by occupied span time, the worst-stretch completions, the most
 // disrupted jobs (re-executions: reassignments + fault aborts + losses),
 // and the maxima of the sampled time series. With --metrics= it also dumps
-// the metrics-registry snapshot (phase timers, counters, histograms).
+// the metrics-registry snapshot (counters, gauges, sketches).
 //
 //   --summary          compact triage block instead of the full breakdown:
 //                      per-event-kind record counts, the trace's simulated
@@ -89,33 +89,25 @@ void print_metrics(const std::string& path) {
   const obs::json::Value root = obs::json::parse(buffer.str());
 
   std::printf("\nmetrics (%s)\n", path.c_str());
-  if (const obs::json::Value* timers = root.find("timers")) {
-    for (const auto& [name, value] : timers->object) {
-      std::printf("  %-28s %10.6f s over %llu call(s)\n", name.c_str(),
-                  value.at("seconds").as_number(),
-                  static_cast<unsigned long long>(
-                      value.at("count").as_int()));
-    }
-  }
   if (const obs::json::Value* counters = root.find("counters")) {
     for (const auto& [name, value] : counters->object) {
-      std::printf("  %-28s %llu\n", name.c_str(),
+      std::printf("  %-38s %llu\n", name.c_str(),
                   static_cast<unsigned long long>(value.as_int()));
     }
   }
   if (const obs::json::Value* gauges = root.find("gauges")) {
     for (const auto& [name, value] : gauges->object) {
-      std::printf("  %-28s last %.3f, max %.3f\n", name.c_str(),
-                  value.at("last").as_number(), value.at("max").as_number());
+      std::printf("  %-38s max %.3f\n", name.c_str(), value.as_number());
     }
   }
-  if (const obs::json::Value* hists = root.find("histograms")) {
-    for (const auto& [name, value] : hists->object) {
-      const auto count = value.at("count").as_int();
-      const double sum = value.at("sum").as_number();
-      std::printf("  %-28s %llu sample(s), mean %.3f\n", name.c_str(),
-                  static_cast<unsigned long long>(count),
-                  count > 0 ? sum / static_cast<double>(count) : 0.0);
+  if (const obs::json::Value* sketches = root.find("sketches")) {
+    for (const auto& [name, value] : sketches->object) {
+      std::printf("  %-38s %llu sample(s), p50 %.3f, p99 %.3f, max %.3f\n",
+                  name.c_str(),
+                  static_cast<unsigned long long>(value.at("count").as_int()),
+                  obs::json::to_double(value.at("p50")),
+                  obs::json::to_double(value.at("p99")),
+                  obs::json::to_double(value.at("max")));
     }
   }
 }
