@@ -29,11 +29,6 @@ std::uint64_t sweep_seed(std::uint64_t base, int point_index,
   return derive_seed(seed, static_cast<std::uint64_t>(replication));
 }
 
-std::uint64_t replication_seed(std::uint64_t base, const std::string& label,
-                               int replication) {
-  return sweep_seed(base, -1, label, replication);
-}
-
 namespace {
 
 /// One outcome slot per (replication, policy) world; filled concurrently
@@ -89,8 +84,6 @@ SweepPointResult run_sweep_point(const std::string& label,
   // replication 0 records and validates its schedule.
   BatchOptions batch_options;
   batch_options.threads = options.threads;
-  batch_options.profile = options.profile;
-  batch_options.heartbeat = options.heartbeat;
   BatchEngine batch(
       n_policies,
       [&policies](std::size_t p) { return make_policy(policies[p]); },
@@ -137,7 +130,6 @@ SweepPointResult run_sweep_point(const std::string& label,
         }
         fill_slot(slots[index], metrics, run.stats, wall_seconds);
       });
-  if (options.profile) result.profile = batch.profile_report();
 
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t p = 0; p < n_policies; ++p) {

@@ -21,15 +21,10 @@
 
 #include "core/platform.hpp"
 #include "exp/runner.hpp"
-#include "obs/profiler.hpp"
 #include "obs/sketch.hpp"
 #include "util/stats.hpp"
 
 namespace ecs {
-
-namespace obs {
-class HeartbeatMonitor;
-}  // namespace obs
 
 /// Builds the instance for one replication from a derived seed.
 using InstanceFactory = std::function<Instance(std::uint64_t seed)>;
@@ -59,10 +54,6 @@ struct PolicyAggregate {
 struct SweepPointResult {
   std::string label;
   std::vector<PolicyAggregate> per_policy;
-  /// Merged engine self-profile of every run of this point, keyed by
-  /// policy through its decision-latency sketches (SweepOptions::profile;
-  /// empty when off).
-  obs::ProfileReport profile;
 
   [[nodiscard]] const PolicyAggregate& policy(const std::string& name) const;
 };
@@ -74,8 +65,8 @@ struct SweepOptions {
   /// Index of this point within its sweep, mixed into the replication
   /// seeds so two points whose labels collide (e.g. different values
   /// formatted to the same string) still draw distinct instances. -1 (the
-  /// default) omits the index and reproduces the historical
-  /// replication_seed(base, label, rep) derivation exactly.
+  /// default) omits the index and reproduces the historical (base, label,
+  /// replication) derivation exactly.
   int point_index = -1;
   /// Validate the recorded schedule on the first replication of each
   /// (point, policy) pair; throws if any constraint of section III-B fails
@@ -91,15 +82,6 @@ struct SweepOptions {
   /// Optional per-replication unannounced fault plan (sim/faults.hpp);
   /// overrides engine.faults for every run when set.
   FaultPlanFactory fault_factory;
-  /// Collect a merged engine ProfileReport for the point. Per-(policy,
-  /// point) decision latency falls out of the report's policy-keyed
-  /// sketches. Never affects results.
-  bool profile = false;
-  /// Optional progress heartbeat (obs/heartbeat.hpp), forwarded to the
-  /// batch driver: worlds-done / throughput / ETA on stderr for long
-  /// sweeps. Not owned; share one monitor across points for a sweep-wide
-  /// ETA.
-  obs::HeartbeatMonitor* heartbeat = nullptr;
 };
 
 /// Runs one sweep point: `factory(seed)` provides the instances, every
@@ -109,17 +91,12 @@ struct SweepOptions {
     const std::string& label, const InstanceFactory& factory,
     const std::vector<std::string>& policies, const SweepOptions& options);
 
-/// Derives the replication seed for (base, point label, replication).
-/// Equivalent to sweep_seed(base, -1, label, replication).
-[[nodiscard]] std::uint64_t replication_seed(std::uint64_t base,
-                                             const std::string& label,
-                                             int replication);
-
 /// SplitMix64 chain over (base, point index, label, replication): the seed
 /// every sweep replication draws its instance and fault plan from.
-/// point_index < 0 omits the index link, reproducing replication_seed();
-/// otherwise equal labels at different indices yield distinct seed streams
-/// (tests/test_exp.cpp pins both properties).
+/// point_index < 0 omits the index link, reproducing the historical
+/// (base, label, replication) seeds; otherwise equal labels at different
+/// indices yield distinct seed streams (tests/test_exp.cpp pins both
+/// properties).
 [[nodiscard]] std::uint64_t sweep_seed(std::uint64_t base, int point_index,
                                        const std::string& label,
                                        int replication);

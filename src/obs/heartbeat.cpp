@@ -46,11 +46,6 @@ void HeartbeatMonitor::tick(double sim_time, std::uint64_t events,
   maybe_emit(false);
 }
 
-void HeartbeatMonitor::world_done() {
-  worlds_done_.fetch_add(1, std::memory_order_relaxed);
-  maybe_emit(false);
-}
-
 void HeartbeatMonitor::flush() { maybe_emit(true); }
 
 void HeartbeatMonitor::maybe_emit(bool force) {
@@ -63,41 +58,19 @@ void HeartbeatMonitor::maybe_emit(bool force) {
   const double wall_s =
       std::chrono::duration<double>(now - start_).count();
   const std::uint64_t events = events_.load(std::memory_order_relaxed);
-  const std::uint64_t done = worlds_done_.load(std::memory_order_relaxed);
-  const std::uint64_t total = worlds_total_.load(std::memory_order_relaxed);
   const double window = since_last > 0.0 ? since_last : 1e-9;
   const double events_per_s =
       events >= last_events_
           ? static_cast<double>(events - last_events_) / window
           : 0.0;
-  const double worlds_per_s =
-      done >= last_worlds_
-          ? static_cast<double>(done - last_worlds_) / window
-          : 0.0;
-  // ETA from the whole run's average world throughput — the per-window
-  // rate is too noisy near the end of a sweep.
-  double eta_s = -1.0;
-  if (total > 0 && done > 0 && done < total && wall_s > 0.0) {
-    const double avg = static_cast<double>(done) / wall_s;
-    if (avg > 0.0) eta_s = static_cast<double>(total - done) / avg;
-  }
 
   std::ostringstream line;
   line << "[heartbeat +" << std::fixed << std::setprecision(1) << wall_s
-       << "s]";
-  if (events > 0 || total == 0) {
-    line << " sim_t=" << std::setprecision(1)
-         << sim_time_.load(std::memory_order_relaxed)
-         << " events=" << human_count(static_cast<double>(events)) << " ("
-         << human_count(events_per_s) << "/s)"
-         << " live=" << live_.load(std::memory_order_relaxed)
-         << " refused=" << refused_.load(std::memory_order_relaxed);
-  }
-  if (total > 0) {
-    line << " worlds=" << done << "/" << total << " ("
-         << human_count(worlds_per_s) << "/s)";
-    if (eta_s >= 0.0) line << " eta=" << std::setprecision(0) << eta_s << "s";
-  }
+       << "s] sim_t=" << sim_time_.load(std::memory_order_relaxed)
+       << " events=" << human_count(static_cast<double>(events)) << " ("
+       << human_count(events_per_s) << "/s)"
+       << " live=" << live_.load(std::memory_order_relaxed)
+       << " refused=" << refused_.load(std::memory_order_relaxed);
   std::ostream& out = text_ != nullptr ? *text_ : std::cerr;
   out << line.str() << std::endl;  // flush: a heartbeat must be visible now
   if (jsonl_ != nullptr) {
@@ -107,13 +80,11 @@ void HeartbeatMonitor::maybe_emit(bool force) {
             << ",\"events_per_s\":" << events_per_s
             << ",\"live\":" << live_.load(std::memory_order_relaxed)
             << ",\"refused\":" << refused_.load(std::memory_order_relaxed)
-            << ",\"worlds_done\":" << done << ",\"worlds_total\":" << total
-            << ",\"eta_s\":" << eta_s << "}" << std::endl;
+            << "}" << std::endl;
   }
   beats_.fetch_add(1, std::memory_order_relaxed);
   last_emit_ = now;
   last_events_ = events;
-  last_worlds_ = done;
 }
 
 }  // namespace ecs::obs

@@ -1,24 +1,18 @@
 // heartbeat.hpp - Rate-limited progress reporting for long runs.
 //
-// A ten-minute overload soak or a 100k-world sweep is silent until it
-// finishes; the heartbeat gives it a pulse. The monitor collects two kinds
-// of progress and emits a one-line summary at most once per interval:
-//
-//  * engine ticks (EngineConfig::heartbeat): one cheap call per decision
-//    round carrying the sim clock, event count, live-set size and refusal
-//    count — the streaming/overload story ("is the run draining or
-//    drowning?"). The tick subsamples: it reads the wall clock only every
-//    kCheckEvery calls, so the per-round cost is one relaxed counter
-//    increment.
-//  * world completions (BatchOptions::heartbeat / SweepOptions::heartbeat):
-//    worlds done out of total, throughput and an ETA — the sweep story.
+// A ten-minute overload soak is silent until it finishes; the heartbeat
+// gives it a pulse. The engine ticks the monitor (EngineConfig::heartbeat)
+// once per decision round with the sim clock, event count, live-set size
+// and refusal count ("is the run draining or drowning?"), and the monitor
+// emits a one-line summary at most once per interval. The tick subsamples:
+// it reads the wall clock only every kCheckEvery calls, so the per-round
+// cost is one relaxed counter increment.
 //
 // Output goes to STDERR (or a caller-supplied stream) — never stdout, so
 // `bench --json-out=- | jq` style pipelines stay clean (a test pins this)
 // — plus an optional JSONL stream with the same fields machine-readable.
 //
-// Thread-safety: tick() and world_done() are safe from any thread (the
-// batch driver's workers all report into one monitor); emission is
+// Thread-safety: tick() and flush() are safe from any thread; emission is
 // serialized by a mutex that only the subsampled path touches.
 #pragma once
 
@@ -40,20 +34,11 @@ class HeartbeatMonitor {
                             std::ostream* text = nullptr,
                             std::ostream* jsonl = nullptr);
 
-  /// Announces `n` more expected worlds (sweeps call this per point;
-  /// totals accumulate so the ETA spans the whole sweep).
-  void add_total_worlds(std::uint64_t n) noexcept {
-    worlds_total_.fetch_add(n, std::memory_order_relaxed);
-  }
-
   /// Engine hook, called once per decision round. Meant for ONE engine at
-  /// a time (a streaming run); concurrent engines sharing a monitor get a
-  /// coherent line per world only through world_done().
+  /// a time (a streaming run): concurrent engines sharing a monitor would
+  /// interleave their counts in one line.
   void tick(double sim_time, std::uint64_t events, std::uint64_t live,
             std::uint64_t refused);
-
-  /// Batch hook: one world finished.
-  void world_done();
 
   /// Forces a beat now, regardless of the interval (end-of-run summary).
   void flush();
@@ -81,14 +66,11 @@ class HeartbeatMonitor {
   std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> live_{0};
   std::atomic<std::uint64_t> refused_{0};
-  std::atomic<std::uint64_t> worlds_done_{0};
-  std::atomic<std::uint64_t> worlds_total_{0};
   std::atomic<std::uint64_t> beats_{0};
 
   std::mutex emit_mutex_;  ///< guards the fields below + stream writes
   std::chrono::steady_clock::time_point last_emit_;
   std::uint64_t last_events_ = 0;
-  std::uint64_t last_worlds_ = 0;
 };
 
 }  // namespace ecs::obs

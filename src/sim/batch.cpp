@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "obs/heartbeat.hpp"
 #include "obs/profiler.hpp"
 #include "sim/engine_core.hpp"
 #include "sim/policy.hpp"
@@ -83,9 +82,6 @@ BatchEngine::~BatchEngine() = default;
 void BatchEngine::run(std::size_t world_count, const WorldFn& make_world,
                       const WorldResultFn& on_result) {
   if (world_count == 0) return;
-  if (options_.heartbeat != nullptr) {
-    options_.heartbeat->add_total_worlds(world_count);
-  }
   const unsigned threads =
       options_.threads != 0 ? options_.threads : default_thread_count();
   const std::size_t workers =
@@ -185,7 +181,6 @@ void BatchEngine::run_worker(Worker& worker, Queue& queue,
       const std::size_t index = world.index;
       world.index = kIdle;  // recycled even if the callback throws
       on_result(index, world.instance, world.result, world.service_seconds);
-      if (options_.heartbeat != nullptr) options_.heartbeat->world_done();
     }
     if (!any_live) return;
   }

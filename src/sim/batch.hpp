@@ -41,10 +41,6 @@ namespace ecs {
 
 class Policy;
 
-namespace obs {
-class HeartbeatMonitor;
-}  // namespace obs
-
 struct BatchOptions {
   /// Worker threads; 0 = default_thread_count().
   unsigned threads = 0;
@@ -63,11 +59,6 @@ struct BatchOptions {
   /// caller-shared profiler would race across concurrently stepped worlds.
   /// Never affects results (the profiled engine is bit-identical).
   bool profile = false;
-  /// Optional progress heartbeat (obs/heartbeat.hpp): the driver announces
-  /// the queued world count and reports each finished world, giving long
-  /// sweeps a worlds-done / throughput / ETA pulse on stderr. Not owned;
-  /// thread-safe (all workers share it). Null = silent.
-  obs::HeartbeatMonitor* heartbeat = nullptr;
 };
 
 /// What a queued world runs. `policy` indexes the policy table the driver

@@ -247,12 +247,12 @@ TEST(Runner, UnknownPolicyThrows) {
 }
 
 TEST(Sweep, ReplicationSeedsAreDistinct) {
-  const std::uint64_t a = replication_seed(42, "x", 0);
-  const std::uint64_t b = replication_seed(42, "x", 1);
-  const std::uint64_t c = replication_seed(42, "y", 0);
+  const std::uint64_t a = sweep_seed(42, -1, "x", 0);
+  const std::uint64_t b = sweep_seed(42, -1, "x", 1);
+  const std::uint64_t c = sweep_seed(42, -1, "y", 0);
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(a, replication_seed(42, "x", 0));
+  EXPECT_EQ(a, sweep_seed(42, -1, "x", 0));
 }
 
 TEST(Sweep, AggregatesAllReplications) {
@@ -288,8 +288,9 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Sweep, SweepSeedMixesThePointIndex) {
-  // Backward compatibility: index -1 IS the historical derivation.
-  EXPECT_EQ(sweep_seed(42, -1, "x", 3), replication_seed(42, "x", 3));
+  // Backward compatibility: index -1 IS the historical (base, label,
+  // replication) derivation, pinned to the value it has always produced.
+  EXPECT_EQ(sweep_seed(42, -1, "x", 3), 3633416980360997971u);
   // Same label at different sweep points must draw distinct seed streams —
   // the collision two points whose values format identically used to hit.
   const std::uint64_t p0 = sweep_seed(42, 0, "0.50", 0);

@@ -258,17 +258,13 @@ TEST(Heartbeat, EmitsTextAndJsonl) {
   std::ostringstream text;
   std::ostringstream jsonl;
   obs::HeartbeatMonitor monitor(0.0, &text, &jsonl);
-  monitor.add_total_worlds(4);
   for (int i = 0; i < 1024; ++i) {
     monitor.tick(static_cast<double>(i), static_cast<std::uint64_t>(2 * i),
                  7, 1);
   }
-  monitor.world_done();
-  monitor.world_done();
   monitor.flush();
   EXPECT_GE(monitor.beats(), 3u);
   EXPECT_NE(text.str().find("[heartbeat"), std::string::npos);
-  EXPECT_NE(text.str().find("worlds=2/4"), std::string::npos);
 
   // Every JSONL line is one well-formed object with the documented keys.
   std::istringstream lines(jsonl.str());
@@ -278,7 +274,6 @@ TEST(Heartbeat, EmitsTextAndJsonl) {
     const obs::json::Value doc = obs::json::parse(line);
     EXPECT_NE(doc.find("wall_s"), nullptr);
     EXPECT_NE(doc.find("events"), nullptr);
-    EXPECT_NE(doc.find("worlds_done"), nullptr);
     ++parsed;
   }
   EXPECT_EQ(parsed, monitor.beats());
