@@ -1,9 +1,10 @@
-// bench_common.hpp - Shared plumbing for the figure-reproduction binaries.
+// bench_common.hpp - Shared plumbing for the ecs_bench scenarios and the
+// ecs_microbench main.
 //
-// The figure and ablation binaries share one sweep loop: each parses the
+// The figure and ablation scenarios share one sweep loop: each parses the
 // common flags, builds one FigurePoint per x value, runs them through
 // run_points and prints a paper-style table (optionally also CSV). Flags
-// understood by all binaries:
+// understood by all of them:
 //
 //   --reps=N        replications per point (paper: 1000; defaults are
 //                   smaller so the whole suite finishes on small hosts)
@@ -14,7 +15,7 @@
 //   --no-validate   skip the first-replication schedule validation
 //   --log-level=L   stderr log threshold: debug, info, warn or error
 //
-// Each binary reads its own flags too, then calls Args::reject_unread
+// Each scenario reads its own flags too, then calls Args::reject_unread
 // before any work: a flag that nothing read fails the run.
 //
 // Observability flags (see docs/OBSERVABILITY.md): after the sweep, the
@@ -36,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -76,7 +76,7 @@ struct CommonOptions {
   bool watchdog = false;     ///< --watchdog: invariant-check the traced run
 };
 
-/// Runs a bench binary's body under the repo's error-path convention:
+/// Runs a bench program's body under the repo's error-path convention:
 /// exceptions (e.g. a malformed numeric flag rejected by Args, or an
 /// invalid schedule) become a one-line `error: ...` on stderr and exit
 /// status 1 instead of std::terminate.
@@ -90,41 +90,46 @@ int guarded_main(Fn&& fn) {
   }
 }
 
-/// Applies --log-level=debug|info|warn|error; exits with status 2 on an
-/// unknown level name.
-inline void apply_log_level(const Args& args) {
-  const std::string name = args.get_or("log-level", "");
-  if (name.empty()) return;
+/// The level named by --log-level. Throws std::invalid_argument on an
+/// unknown name, so a typo fails like every other bad flag.
+inline LogLevel log_level_flag(const std::string& name) {
   const std::optional<LogLevel> level = parse_log_level(name);
   if (!level) {
-    std::cerr << "unknown --log-level '" << name
-              << "' (expected debug, info, warn or error)\n";
-    std::exit(2);
+    throw std::invalid_argument("unknown --log-level '" + name +
+                                "' (expected debug, info, warn or error)");
   }
-  set_log_level(*level);
+  return *level;
 }
 
-/// argv-level variant for google-benchmark binaries: strips
-/// --log-level=... before benchmark::Initialize sees (and rejects) it.
-inline void apply_log_level_argv(int& argc, char** argv) {
-  const std::string prefix = "--log-level=";
+/// Applies --log-level=debug|info|warn|error (see log_level_flag).
+inline void apply_log_level(const Args& args) {
+  const std::string name = args.get_or("log-level", "");
+  if (!name.empty()) set_log_level(log_level_flag(name));
+}
+
+/// Strips `prefix`VALUE from argv (before benchmark::Initialize rejects
+/// the unknown flag) and returns VALUE, empty when absent.
+inline std::string extract_arg(int& argc, char** argv,
+                               const std::string& prefix) {
+  std::string value;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind(prefix, 0) == 0) {
-      const std::optional<LogLevel> level =
-          parse_log_level(arg.substr(prefix.size()));
-      if (!level) {
-        std::cerr << "unknown " << arg
-                  << " (expected debug, info, warn or error)\n";
-        std::exit(2);
-      }
-      set_log_level(*level);
+      value = arg.substr(prefix.size());
       continue;
     }
     argv[out++] = argv[i];
   }
   argc = out;
+  return value;
+}
+
+/// argv-level apply_log_level for the google-benchmark main: strips
+/// --log-level=... before benchmark::Initialize sees (and rejects) it.
+inline void apply_log_level_argv(int& argc, char** argv) {
+  const std::string name = extract_arg(argc, argv, "--log-level=");
+  if (!name.empty()) set_log_level(log_level_flag(name));
 }
 
 /// The --reps flag. Throws std::invalid_argument naming the flag when it is
@@ -206,7 +211,7 @@ inline InstanceFactory random_instances(const RandomInstanceConfig& cfg) {
   };
 }
 
-/// The sweep loop of every figure and ablation binary: runs point i under
+/// The sweep loop of every figure and ablation scenario: runs point i under
 /// point_index = i (so equal labels still draw distinct instances) with
 /// the point's own fault plan when it has one, prints
 /// `  [done] <done_prefix><label>` after each point and a blank line after
@@ -250,8 +255,7 @@ inline bool open_artifact(std::ofstream& file, const std::string& path,
 /// the runs the sweep aggregated. A no-op unless one of --trace-out /
 /// --trace-jsonl / --metrics-out / --metrics-prom / --profile-out /
 /// --watchdog was given. Returns the process exit status: 0, or 3 when
-/// --watchdog detected an invariant violation (callers `return` it from
-/// main).
+/// --watchdog detected an invariant violation (scenarios return it).
 [[nodiscard]] inline int write_trace_artifacts(
     const CommonOptions& options, const std::vector<std::string>& policies,
     const std::vector<FigurePoint>& points) {
@@ -259,7 +263,7 @@ inline bool open_artifact(std::ofstream& file, const std::string& path,
     return 0;
   }
   const FigurePoint& point = points.front();
-  // Default to the last policy: the binaries list edge-only first, so the
+  // Default to the last policy: the scenarios list edge-only first, so the
   // last one is a cloud-using heuristic whose trace shows communication
   // spans and flow arrows (override with --trace-policy).
   const std::string policy =
@@ -394,5 +398,43 @@ inline void report_sweep(const std::vector<SweepPointResult>& points,
 
   write_csv(options, {&stretch_table, &time_table, &quantile_table});
 }
+
+// The ecs_bench scenarios (the table in ecs_bench.cpp names them). Each
+// reads its flags from `args`, rejects the unread ones before any work and
+// returns the process exit status.
+
+// figures.cpp: the paper's Fig. 2.
+int fig2a_random_ccr(const Args& args);
+int fig2b_random_load(const Args& args);
+/// Fig. 2(c) and 2(d): the same Kang sweep; they differ in the default
+/// --edges and the title.
+int fig2_kang(const Args& args, int default_edges, const std::string& title);
+
+// ablations.cpp: A1-A6.
+int ablation_epsilon(const Args& args);
+int ablation_reexec(const Args& args);
+int ablation_cloudsize(const Args& args);
+int ablation_outages(const Args& args);
+int ablation_arrivals(const Args& args);
+int ablation_faults(const Args& args);
+
+// studies.cpp: the paper's open questions and the overload sweep.
+int competitive_ratio(const Args& args);
+int energy_tradeoff(const Args& args);
+int avg_stretch(const Args& args);
+int overload(const Args& args);
+
+// micro_engine.cpp: shared by the ecs_microbench series and its main.
+
+/// Deterministic sparse-activity instance: arrivals are spaced so that both
+/// the edges and the clouds run well below saturation and the live set
+/// stays bounded (a few jobs) regardless of n.
+Instance sparse_instance(int n);
+
+/// Runs sparse_instance(10000) once with a profiler attached, writes the
+/// profile to the given paths (each optional) and returns it as a JSON
+/// object for the --json-out summary.
+std::string run_engine_profile(const std::string& json_path,
+                               const std::string& perfetto_path);
 
 }  // namespace ecs::bench

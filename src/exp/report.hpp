@@ -1,6 +1,6 @@
 // report.hpp - Paper-style tabular reporting for the bench harness.
 //
-// Each bench binary prints one table per figure: rows are sweep points
+// Each ecs_bench scenario prints one table per figure: rows are sweep points
 // (the figure's x-axis), columns are the heuristics, cells are the mean of
 // the metric over replications (optionally with the standard deviation).
 // Tables can also be written as CSV for external plotting.

@@ -7,7 +7,7 @@
 // tick counter ONCE per phase boundary and attributes the delta to the
 // phase that just ended — the phases therefore TILE the whole run: their
 // nanosecond totals sum to the run's wall time minus only the profiler's
-// own reads (bench_engine_micro --profile-out pins the sum within 10% of
+// own reads (ecs_microbench --profile-out pins the sum within 10% of
 // an independent wall measurement). That lap structure is what keeps the
 // profiler cheap enough to leave on in production runs: one rdtsc
 // (~20 cycles) per boundary, ~10 boundaries per round.

@@ -6,8 +6,9 @@
 // test feasibility with preemptive EDF, which is optimal on one machine.
 // This module implements that algorithm exactly (up to the binary-search
 // precision). Its callers:
-//   * bench/bench_competitive_ratio.cpp divides Edge-Only's online max
-//     stretch on a one-edge, cloudless platform by this offline optimum;
+//   * `ecs_bench competitive_ratio` (bench/studies.cpp) divides
+//     Edge-Only's online max stretch on a one-edge, cloudless platform by
+//     this offline optimum;
 //   * tests/test_offline.cpp checks it against SPT's closed form (no
 //     release dates) and hand-solved instances.
 #pragma once

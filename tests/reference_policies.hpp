@@ -6,8 +6,8 @@
 // constructed ResourceClock per probe). They are deliberately NOT kept in
 // sync with src/sched/: their whole value is staying frozen so
 // test_policy_equivalence.cpp can assert the optimized policies produce
-// bit-identical schedules, and bench_policy_micro can quantify the
-// speedup against the original cost model.
+// bit-identical schedules, and ecs_microbench's policy_decide series can
+// quantify the speedup against the original cost model.
 //
 // Two adaptations only. The Policy entry point passes an output buffer;
 // each reference decide() still builds a fresh local vector exactly like

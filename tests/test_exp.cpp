@@ -1,6 +1,6 @@
 // Tests for the experiment harness (exp/runner.hpp, exp/sweep.hpp,
 // exp/report.hpp), the batch driver under it (sim/batch.hpp) and the bench
-// binaries' common flags (bench/bench_common.hpp).
+// programs' common flags (bench/bench_common.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -484,7 +484,7 @@ TEST(BenchFlags, UnknownTracePolicyFailsBeforeAnyPoint) {
   };
   const std::vector<bench::FigurePoint> points = {{"p", factory}};
   try {
-    // A binary's flow: parse the flags, then sweep.
+    // A scenario's flow: parse the flags, then sweep.
     const bench::CommonOptions options =
         parse_flags({"--trace-jsonl=x.jsonl", "--trace-policy=nope"});
     (void)bench::run_points(options, {"srpt"}, "", points);
@@ -495,6 +495,30 @@ TEST(BenchFlags, UnknownTracePolicyFailsBeforeAnyPoint) {
     EXPECT_NE(message.find("nope"), std::string::npos) << message;
   }
   EXPECT_EQ(drawn, 0);
+}
+
+/// An unknown --log-level throws like every other bad flag, so the bench
+/// programs report it through guarded_main (`error: ...`, exit 1).
+TEST(BenchFlags, UnknownLogLevelThrows) {
+  EXPECT_NE(parse_error("--log-level=bogus").find("--log-level 'bogus'"),
+            std::string::npos);
+  // The argv form of the google-benchmark main strips the flag it reads
+  // and leaves the others for benchmark::Initialize.
+  std::vector<std::string> storage = {"microbench", "--benchmark_list_tests",
+                                      "--log-level=bogus"};
+  std::vector<char*> argv;
+  for (std::string& arg : storage) argv.push_back(arg.data());
+  int argc = static_cast<int>(argv.size());
+  try {
+    bench::apply_log_level_argv(argc, argv.data());
+    ADD_FAILURE() << "--log-level=bogus was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--log-level 'bogus'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(argc, 2);
+  EXPECT_STREQ(argv[1], "--benchmark_list_tests");
 }
 
 /// parse_reps on its own, as the benches outside parse_common call it.

@@ -2,9 +2,9 @@
 """Gate micro-benchmark results against a checked-in baseline.
 
 Reads compact benchmark JSON files (the format written by the --json-out
-flag of bench_engine_micro / bench_policy_micro: a "build" provenance
-block plus "rows", each row carrying "name" and a per-item nanoseconds
-field; bare row lists from older binaries still load) and fails when any
+flag of ecs_microbench: a "build" provenance block plus "rows", each row
+carrying "name" and the per-item nanoseconds field of the rate it
+publishes; bare row lists from older binaries still load) and fails when any
 row's per-item time regressed by more than --max-ratio over the baseline.
 --baseline/--current may be repeated to gate several suites in one
 invocation; the i-th baseline is compared against the i-th current file.

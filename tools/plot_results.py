@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Plot the CSV output of the bench binaries.
+"""Plot the CSV output of the ecs_bench sweep scenarios.
 
-Each figure bench writes, with --csv=FILE, two stacked CSV tables (the
-max-stretch table and the scheduling-time table) separated by a blank
-line. This script renders the first table as the paper-style line plot:
+Each figure scenario writes, with --csv=FILE, stacked CSV tables separated
+by blank lines, the max-stretch table first. This script renders the first table as the paper-style line plot:
 x axis = sweep parameter, one line per heuristic, log-scaled axes where
 appropriate.
 
 Usage:
-    bench_fig2a_random_ccr --reps=30 --csv=fig2a.csv
+    build/bench/ecs_bench fig2a_random_ccr --reps=30 --csv=fig2a.csv
     tools/plot_results.py fig2a.csv --logx --out=fig2a.png
 """
 import argparse

@@ -112,7 +112,7 @@ void print_metrics(const std::string& path) {
   }
 }
 
-/// Renders an engine self-profile JSON (a bench binary's --profile-out=
+/// Renders an engine self-profile JSON (a bench program's --profile-out=
 /// artifact, obs/profiler.hpp schema) as the phase-cost table. Accepts the
 /// raw ProfileReport object, the bench wrapper ({"wall_ns": ...,
 /// "report": {...}}), or a --json-out summary carrying a "profile" key.
