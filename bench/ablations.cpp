@@ -81,7 +81,6 @@ struct EpsilonRow {
 }  // namespace
 
 int ablation_epsilon(const Args& args) {
-  apply_log_level(args);
   const int reps = parse_reps(args, 5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const int n = static_cast<int>(args.get_int("n", 1000));

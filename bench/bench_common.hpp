@@ -13,7 +13,6 @@
 //   --csv=PATH      also write the table as CSV
 //   --stddev        show the standard deviation next to each mean
 //   --no-validate   skip the first-replication schedule validation
-//   --log-level=L   stderr log threshold: debug, info, warn or error
 //
 // Each scenario reads its own flags too, then calls Args::reject_unread
 // before any work: a flag that nothing read fails the run.
@@ -54,7 +53,6 @@
 #include "obs/watchdog.hpp"
 #include "sched/factory.hpp"
 #include "util/args.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "workloads/random_instances.hpp"
 
@@ -82,28 +80,11 @@ int guarded_main(Fn&& fn) {
   }
 }
 
-/// The level named by --log-level. Throws std::invalid_argument on an
-/// unknown name, so a typo fails like every other bad flag.
-inline LogLevel log_level_flag(const std::string& name) {
-  const std::optional<LogLevel> level = parse_log_level(name);
-  if (!level) {
-    throw std::invalid_argument("unknown --log-level '" + name +
-                                "' (expected debug, info, warn or error)");
-  }
-  return *level;
-}
-
-/// Applies --log-level=debug|info|warn|error (see log_level_flag).
-inline void apply_log_level(const Args& args) {
-  const std::string name = args.get_or("log-level", "");
-  if (!name.empty()) set_log_level(log_level_flag(name));
-}
-
 /// Strips `prefix`VALUE from argv (before benchmark::Initialize rejects
-/// the unknown flag) and returns VALUE, empty when absent.
-inline std::string extract_arg(int& argc, char** argv,
-                               const std::string& prefix) {
-  std::string value;
+/// the unknown flag) and returns VALUE, nullopt when absent.
+inline std::optional<std::string> extract_arg(int& argc, char** argv,
+                                              const std::string& prefix) {
+  std::optional<std::string> value;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -115,13 +96,6 @@ inline std::string extract_arg(int& argc, char** argv,
   }
   argc = out;
   return value;
-}
-
-/// argv-level apply_log_level for the google-benchmark main: strips
-/// --log-level=... before benchmark::Initialize sees (and rejects) it.
-inline void apply_log_level_argv(int& argc, char** argv) {
-  const std::string name = extract_arg(argc, argv, "--log-level=");
-  if (!name.empty()) set_log_level(log_level_flag(name));
 }
 
 /// The --reps flag. Throws std::invalid_argument naming the flag when it is
@@ -227,7 +201,6 @@ inline CommonOptions parse_common(const Args& args, int default_reps) {
       throw std::invalid_argument("--trace-policy needs --bundle");
     }
   }
-  apply_log_level(args);
   return options;
 }
 
@@ -346,7 +319,6 @@ inline InstanceFactory random_instances(const RandomInstanceConfig& cfg) {
       sweep_seed(options.sweep.base_seed, 0, point.label, 0);
   const Instance instance = point.factory(seed);
   RunOptions run_options;
-  run_options.engine = options.sweep.engine;
   const FaultPlanFactory& faults =
       point.faults ? point.faults : options.sweep.fault_factory;
   if (faults) run_options.engine.faults = faults(instance, seed);
@@ -394,7 +366,7 @@ inline void report_sweep(const std::vector<SweepPointResult>& points,
   const Table quantile_table =
       make_stretch_quantile_report(points, policies, x_label);
   std::cout << "\nper-job stretch tail (quantile sketch, "
-            << format_double(obs::QuantileSketch::kDefaultAlpha * 100.0, 0)
+            << format_double(obs::QuantileSketch::kAlpha * 100.0, 0)
             << "% relative error)\n";
   quantile_table.print(std::cout);
   std::cout << "\n";

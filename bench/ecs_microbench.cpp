@@ -8,7 +8,8 @@
 //                             run_engine_profile), also embedded in the
 //                             summary
 //   --profile-perfetto=PATH   that profile rendered as a Perfetto trace
-//   --log-level=L             stderr log threshold
+// Each PATH is checked before any work: a bare flag or an unusable PATH
+// fails the run with `error: --json-out ...` and exit status 1.
 //
 // The summary:
 //   {"build": {compiler, build_type, flags, git_sha, native, ipo,
@@ -26,7 +27,9 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,6 +138,18 @@ class CompactJsonReporter final : public benchmark::ConsoleReporter {
   std::vector<std::string> rows_;
 };
 
+/// Strips --`key`=PATH from argv (extract_arg) and checks that PATH can be
+/// written, so a bare flag or an unusable path fails before any benchmark
+/// runs. "" when the flag is absent.
+std::string output_arg(int& argc, char** argv, const std::string& key) {
+  const std::optional<std::string> path =
+      extract_arg(argc, argv, "--" + key + "=");
+  if (!path) return "";
+  if (path->empty()) throw std::invalid_argument("--" + key + " needs a path");
+  (void)open_output(*path, "--" + key, std::ios::app);
+  return *path;
+}
+
 }  // namespace
 }  // namespace ecs::bench
 
@@ -143,12 +158,10 @@ int main(int argc, char** argv) {
   return guarded_main([&] {
     // Strip this program's own flags before benchmark::Initialize rejects
     // them.
-    apply_log_level_argv(argc, argv);
-    const std::string json_path = extract_arg(argc, argv, "--json-out=");
-    const std::string profile_path =
-        extract_arg(argc, argv, "--profile-out=");
+    const std::string json_path = output_arg(argc, argv, "json-out");
+    const std::string profile_path = output_arg(argc, argv, "profile-out");
     const std::string profile_perfetto =
-        extract_arg(argc, argv, "--profile-perfetto=");
+        output_arg(argc, argv, "profile-perfetto");
     CompactJsonReporter reporter;
     if (!profile_path.empty() || !profile_perfetto.empty()) {
       reporter.set_profile_json(
@@ -159,11 +172,7 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
     if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::cerr << "cannot write benchmark JSON to " << json_path << "\n";
-        return 1;
-      }
+      std::ofstream out = open_output(json_path, "--json-out");
       reporter.write(out);
       std::cout << "benchmark JSON -> " << json_path << "\n";
     }

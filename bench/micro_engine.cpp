@@ -277,22 +277,14 @@ std::string run_engine_profile(const std::string& json_path,
             << (wall_ns > 0.0 ? report.total_ns() / wall_ns : 0.0) << "\n";
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "cannot write profile JSON to " << json_path << "\n";
-    } else {
-      out << block.str() << "\n";
-      std::cout << "profile JSON -> " << json_path << "\n";
-    }
+    std::ofstream out = open_output(json_path, "--profile-out");
+    out << block.str() << "\n";
+    std::cout << "profile JSON -> " << json_path << "\n";
   }
   if (!perfetto_path.empty()) {
-    std::ofstream out(perfetto_path);
-    if (!out) {
-      std::cerr << "cannot write profile trace to " << perfetto_path << "\n";
-    } else {
-      report.write_perfetto(out);
-      std::cout << "profile Perfetto trace -> " << perfetto_path << "\n";
-    }
+    std::ofstream out = open_output(perfetto_path, "--profile-perfetto");
+    report.write_perfetto(out);
+    std::cout << "profile Perfetto trace -> " << perfetto_path << "\n";
   }
   return block.str();
 }

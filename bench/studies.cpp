@@ -62,7 +62,6 @@
 //   --heartbeat=SECONDS periodic progress pulse (sim time, events/sec,
 //                       live set, refusals) on STDERR; stdout stays the
 //                       table. 0 (default) = off.
-//   --log-level=L       stderr log threshold
 //
 // scale_probe: quick probes at paper scale, one line per run. The wall
 // probe runs every registered policy once on one random instance:
@@ -104,8 +103,8 @@
 #include "core/energy.hpp"
 #include "core/metrics.hpp"
 #include "obs/heartbeat.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sketch.hpp"
-#include "obs/trace.hpp"
 #include "sched/edge_only.hpp"
 #include "sched/factory.hpp"
 #include "sched/offline/single_machine.hpp"
@@ -117,7 +116,6 @@
 namespace ecs::bench {
 
 int competitive_ratio(const Args& args) {
-  apply_log_level(args);
   const int reps = parse_reps(args, 20);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const int n = static_cast<int>(args.get_int("n", 40));
@@ -180,7 +178,6 @@ int competitive_ratio(const Args& args) {
 }
 
 int energy_tradeoff(const Args& args) {
-  apply_log_level(args);
   const int reps = parse_reps(args, 5);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const int n = static_cast<int>(args.get_int("n", 600));
@@ -286,24 +283,6 @@ int avg_stretch(const Args& args) {
 
 namespace {
 
-/// Feeds every completion's realized stretch (the kCompletion instant's
-/// value) into a quantile sketch; ignores the rest of the trace stream.
-/// O(1) memory regardless of n — soak-friendly.
-class StretchTailSink final : public obs::TraceSink {
- public:
-  void record(const obs::TraceRecord& rec) override {
-    if (rec.kind == obs::TraceKind::kInstant &&
-        rec.point == obs::TracePoint::kCompletion) {
-      sketch_.observe(rec.value);
-    }
-  }
-  [[nodiscard]] bool wants_samples() const override { return false; }
-  [[nodiscard]] const obs::QuantileSketch& sketch() const { return sketch_; }
-
- private:
-  obs::QuantileSketch sketch_;
-};
-
 struct OverloadRow {
   double rate = 0.0;
   SimStats stats;
@@ -315,7 +294,6 @@ struct OverloadRow {
 }  // namespace
 
 int overload(const Args& args) {
-  apply_log_level(args);
   const std::vector<double> rates =
       args.get_double_list("rates", {1.0, 2.0, 4.0, 8.0});
   const auto n = args.get_int("n", 20'000);
@@ -375,8 +353,10 @@ int overload(const Args& args) {
     config.record_admission = false;  // stats carry the counts we report
     config.admission = admission;
     if (heartbeat) config.heartbeat = &*heartbeat;
-    StretchTailSink sink;
-    config.trace = &sink;
+    // The engine's own job.stretch sketch: every completion's stretch, in
+    // O(1) memory regardless of n.
+    obs::MetricsRegistry registry;
+    config.metrics = &registry;
 
     const auto arrivals = make_arrival_stream(acfg);
     const auto policy = make_policy(policy_name);
@@ -391,7 +371,7 @@ int overload(const Args& args) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    const obs::QuantileSketch& sketch = sink.sketch();
+    const obs::QuantileSketch sketch = registry.sketch_value("job.stretch");
     row.p50 = sketch.quantile(0.50);
     row.p90 = sketch.quantile(0.90);
     row.p99 = sketch.quantile(0.99);
@@ -560,7 +540,6 @@ int wall_probe(const Args& args) {
 }  // namespace
 
 int scale_probe(const Args& args) {
-  apply_log_level(args);
   return args.get_bool("stream", false) ? stream_probe(args)
                                         : wall_probe(args);
 }

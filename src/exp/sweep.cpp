@@ -19,12 +19,13 @@ const PolicyAggregate& SweepPointResult::policy(
 
 std::uint64_t sweep_seed(std::uint64_t base, int point_index,
                          const std::string& label, int replication) {
-  std::uint64_t seed = base;
-  if (point_index >= 0) {
-    // +1 keeps the index link distinct from any meaningful tag at 0 and
-    // makes the chain structurally different from the index-less one.
-    seed = derive_seed(seed, static_cast<std::uint64_t>(point_index) + 1);
+  if (point_index < 0) {
+    throw std::invalid_argument("sweep_seed: point index must be >= 0, got " +
+                                std::to_string(point_index));
   }
+  // +1 keeps the index link distinct from any meaningful tag at 0.
+  std::uint64_t seed =
+      derive_seed(base, static_cast<std::uint64_t>(point_index) + 1);
   seed = derive_seed(seed, hash_tag(label));
   return derive_seed(seed, static_cast<std::uint64_t>(replication));
 }
@@ -88,25 +89,23 @@ SweepPointResult run_sweep_point(const std::string& label,
       n_policies,
       [&policies](std::size_t p) { return make_policy(policies[p]); },
       batch_options);
-  const auto seed_of = [&](std::size_t rep) {
-    return sweep_seed(options.base_seed, options.point_index, label,
-                      static_cast<int>(rep));
-  };
+  // Drawn up front, so a negative point index (which sweep_seed rejects)
+  // fails before any world runs.
+  std::vector<std::uint64_t> seeds;
+  for (int rep = 0; rep < reps; ++rep) {
+    seeds.push_back(
+        sweep_seed(options.base_seed, options.point_index, label, rep));
+  }
   batch.run(
       slots.size(),
       [&](std::size_t index, Instance& instance, WorldSetup& setup) {
         const std::size_t rep = index / n_policies;
-        const std::uint64_t seed = seed_of(rep);
+        const std::uint64_t seed = seeds[rep];
         instance = factory(seed);
         setup.policy = index % n_policies;
-        setup.config = options.engine;
         if (options.fault_factory) {
           setup.config.faults = options.fault_factory(instance, seed);
         }
-        // Trace sinks are single-run, single-threaded objects, so only the
-        // first world keeps the sink. The metrics registry is thread-safe
-        // and stays shared by every world.
-        if (index != 0) setup.config.trace = nullptr;
         setup.config.record_schedule = options.validate_first && rep == 0;
         // The batch driver times whole worlds itself; the per-decision
         // policy timer's clock reads are pure overhead at this scale.
@@ -119,9 +118,9 @@ SweepPointResult run_sweep_point(const std::string& label,
         if (options.validate_first && rep == 0) {
           // Re-derive the world's fault plan for the fault-aware validator
           // (the factories are deterministic in (instance, seed)).
-          FaultPlan faults = options.engine.faults;
+          FaultPlan faults;
           if (options.fault_factory) {
-            faults = options.fault_factory(instance, seed_of(rep));
+            faults = options.fault_factory(instance, seeds[rep]);
           }
           require_valid_schedule(instance, run.schedule, faults);
           metrics = compute_metrics(instance, run.schedule);

@@ -62,41 +62,33 @@ struct SweepOptions {
   int replications = 30;  ///< at least 1; run_sweep_point throws otherwise
   std::uint64_t base_seed = 42;
   unsigned threads = 0;  ///< 0 = hardware concurrency
-  /// Index of this point within its sweep, mixed into the replication
-  /// seeds so two points whose labels collide (e.g. different values
-  /// formatted to the same string) still draw distinct instances. -1 (the
-  /// default) omits the index and reproduces the historical (base, label,
-  /// replication) derivation exactly.
-  int point_index = -1;
+  /// Index of this point within its sweep (>= 0; run_sweep_point throws
+  /// otherwise), mixed into the replication seeds so two points whose
+  /// labels collide (e.g. different values formatted to the same string)
+  /// still draw distinct instances.
+  int point_index = 0;
   /// Validate the recorded schedule on the first replication of each
   /// (point, policy) pair; throws if any constraint of section III-B fails
   /// (fault-aware when a fault plan is in play).
   bool validate_first = true;
-  /// Forwarded to every run. engine.metrics (thread-safe, and written in
-  /// an order-free way: counters add, gauges keep their maximum, sketches
-  /// merge exactly) is shared by all replications x policies, so its
-  /// counts do not depend on the thread count; engine.trace, being a
-  /// single-run object, is forwarded only to replication 0 of the first
-  /// policy and nulled elsewhere.
-  EngineConfig engine;
   /// Optional per-replication unannounced fault plan (sim/faults.hpp);
-  /// overrides engine.faults for every run when set.
+  /// without one every run is fault-free.
   FaultPlanFactory fault_factory;
 };
 
 /// Runs one sweep point: `factory(seed)` provides the instances, every
 /// policy in `policies` runs on every replication. Throws
-/// std::invalid_argument when options.replications < 1.
+/// std::invalid_argument when options.replications < 1 or
+/// options.point_index < 0.
 [[nodiscard]] SweepPointResult run_sweep_point(
     const std::string& label, const InstanceFactory& factory,
     const std::vector<std::string>& policies, const SweepOptions& options);
 
 /// SplitMix64 chain over (base, point index, label, replication): the seed
-/// every sweep replication draws its instance and fault plan from.
-/// point_index < 0 omits the index link, reproducing the historical
-/// (base, label, replication) seeds; otherwise equal labels at different
-/// indices yield distinct seed streams (tests/test_exp.cpp pins both
-/// properties).
+/// every sweep replication draws its instance and fault plan from. Equal
+/// labels at different indices yield distinct seed streams
+/// (tests/test_exp.cpp pins this and one value of the chain). Throws
+/// std::invalid_argument naming the value when point_index < 0.
 [[nodiscard]] std::uint64_t sweep_seed(std::uint64_t base, int point_index,
                                        const std::string& label,
                                        int replication);

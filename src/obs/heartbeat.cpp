@@ -26,11 +26,8 @@ std::string human_count(double v) {
 
 }  // namespace
 
-HeartbeatMonitor::HeartbeatMonitor(double interval_seconds,
-                                   std::ostream* text, std::ostream* jsonl)
+HeartbeatMonitor::HeartbeatMonitor(double interval_seconds)
     : interval_(interval_seconds),
-      text_(text),
-      jsonl_(jsonl),
       start_(std::chrono::steady_clock::now()),
       last_emit_(start_) {}
 
@@ -71,17 +68,7 @@ void HeartbeatMonitor::maybe_emit(bool force) {
        << human_count(events_per_s) << "/s)"
        << " live=" << live_.load(std::memory_order_relaxed)
        << " refused=" << refused_.load(std::memory_order_relaxed);
-  std::ostream& out = text_ != nullptr ? *text_ : std::cerr;
-  out << line.str() << std::endl;  // flush: a heartbeat must be visible now
-  if (jsonl_ != nullptr) {
-    *jsonl_ << "{\"wall_s\":" << wall_s << ",\"sim_t\":"
-            << sim_time_.load(std::memory_order_relaxed)
-            << ",\"events\":" << events
-            << ",\"events_per_s\":" << events_per_s
-            << ",\"live\":" << live_.load(std::memory_order_relaxed)
-            << ",\"refused\":" << refused_.load(std::memory_order_relaxed)
-            << "}" << std::endl;
-  }
+  std::cerr << line.str() << std::endl;  // flush: visible now
   beats_.fetch_add(1, std::memory_order_relaxed);
   last_emit_ = now;
   last_events_ = events;

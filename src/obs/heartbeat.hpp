@@ -8,9 +8,8 @@
 // it reads the wall clock only every kCheckEvery calls, so the per-round
 // cost is one relaxed counter increment.
 //
-// Output goes to STDERR (or a caller-supplied stream) — never stdout, so
-// `bench --json-out=- | jq` style pipelines stay clean (a test pins this)
-// — plus an optional JSONL stream with the same fields machine-readable.
+// Output goes to STDERR — never stdout, so `bench --json-out=- | jq` style
+// pipelines stay clean (a test pins this).
 //
 // Thread-safety: tick() and flush() are safe from any thread; emission is
 // serialized by a mutex that only the subsampled path touches.
@@ -19,20 +18,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 
 namespace ecs::obs {
 
 class HeartbeatMonitor {
  public:
-  /// Emits at most one line per `interval_seconds` (<= 0 emits on every
-  /// rate-limit check — useful for tests and "show everything" runs).
-  /// `text` defaults to std::cerr; `jsonl`, when set, additionally
-  /// receives one JSON object per beat. Streams are not owned.
-  explicit HeartbeatMonitor(double interval_seconds,
-                            std::ostream* text = nullptr,
-                            std::ostream* jsonl = nullptr);
+  /// Emits at most one line per `interval_seconds` to stderr (<= 0 emits
+  /// on every rate-limit check — useful for tests and "show everything"
+  /// runs).
+  explicit HeartbeatMonitor(double interval_seconds);
 
   /// Engine hook, called once per decision round. Meant for ONE engine at
   /// a time (a streaming run): concurrent engines sharing a monitor would
@@ -57,8 +52,6 @@ class HeartbeatMonitor {
   void maybe_emit(bool force);
 
   double interval_;
-  std::ostream* text_;
-  std::ostream* jsonl_;
   std::chrono::steady_clock::time_point start_;
 
   std::atomic<std::uint64_t> calls_{0};
@@ -68,7 +61,7 @@ class HeartbeatMonitor {
   std::atomic<std::uint64_t> refused_{0};
   std::atomic<std::uint64_t> beats_{0};
 
-  std::mutex emit_mutex_;  ///< guards the fields below + stream writes
+  std::mutex emit_mutex_;  ///< guards the fields below + stderr writes
   std::chrono::steady_clock::time_point last_emit_;
   std::uint64_t last_events_ = 0;
 };

@@ -3,21 +3,19 @@
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/json.hpp"
 
 namespace ecs::obs {
 namespace {
 
-template <typename Store, typename... Args>
+template <typename Store>
 MetricsRegistry::Id get_or_create(std::map<std::string, MetricsRegistry::Id>& ids,
-                                  Store& store, const std::string& name,
-                                  Args&&... args) {
+                                  Store& store, const std::string& name) {
   const auto it = ids.find(name);
   if (it != ids.end()) return it->second;
   const MetricsRegistry::Id id = static_cast<MetricsRegistry::Id>(store.size());
-  store.emplace_back(std::forward<Args>(args)...);
+  store.emplace_back();
   ids.emplace(name, id);
   return id;
 }
@@ -34,10 +32,9 @@ MetricsRegistry::Id MetricsRegistry::gauge(const std::string& name) {
   return get_or_create(gauge_ids_, gauges_, name);
 }
 
-MetricsRegistry::Id MetricsRegistry::sketch(const std::string& name,
-                                            double alpha) {
+MetricsRegistry::Id MetricsRegistry::sketch(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return get_or_create(sketch_ids_, sketches_, name, alpha);
+  return get_or_create(sketch_ids_, sketches_, name);
 }
 
 void MetricsRegistry::add(Id id, std::uint64_t delta) noexcept {
@@ -133,7 +130,7 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     std::lock_guard<std::mutex> sketch_lock(s.mutex);
     const QuantileSketch& q = s.sketch;
     out << (first ? "" : ",") << "\n    " << key(name)
-        << "{\"alpha\":" << json::number(q.alpha())
+        << "{\"alpha\":" << json::number(QuantileSketch::kAlpha)
         << ",\"count\":" << q.count()
         << ",\"sum\":" << json::number(q.sum())
         << ",\"min\":" << json::number(q.min())

@@ -51,10 +51,8 @@ class MetricsRegistry {
   [[nodiscard]] Id counter(const std::string& name);
   /// A high-water gauge: it holds the maximum value it was raised to.
   [[nodiscard]] Id gauge(const std::string& name);
-  /// Quantile sketch with relative accuracy `alpha` (obs/sketch.hpp).
-  /// Re-registering an existing sketch returns it (alpha then ignored).
-  [[nodiscard]] Id sketch(const std::string& name,
-                          double alpha = QuantileSketch::kDefaultAlpha);
+  /// Quantile sketch (obs/sketch.hpp).
+  [[nodiscard]] Id sketch(const std::string& name);
 
   // --- updates (lock-free, safe from any thread) ---
   void add(Id id, std::uint64_t delta = 1) noexcept;
@@ -95,7 +93,6 @@ class MetricsRegistry {
     std::atomic<double> max{0.0};
   };
   struct Sketch {
-    explicit Sketch(double alpha) : sketch(alpha) {}
     mutable std::mutex mutex;
     QuantileSketch sketch;
   };

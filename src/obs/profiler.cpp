@@ -133,8 +133,7 @@ void ProfileReport::merge(const ProfileReport& other) {
     phases[i].ns += other.phases[i].ns;
   }
   for (const auto& [policy, sketch] : other.decision_ns) {
-    auto [it, inserted] = decision_ns.try_emplace(policy, sketch.alpha());
-    it->second.merge(sketch);
+    decision_ns[policy].merge(sketch);
   }
   runs += other.runs;
   rounds += other.rounds;
@@ -226,9 +225,7 @@ void ProfileReport::to_metrics(MetricsRegistry& registry) const {
                scanned_slots);
   for (const auto& [policy, sketch] : decision_ns) {
     registry.sketch_merge(
-        registry.sketch("engine.profile.decision_ns." + policy,
-                        sketch.alpha()),
-        sketch);
+        registry.sketch("engine.profile.decision_ns." + policy), sketch);
   }
 }
 

@@ -1,7 +1,5 @@
 #include "obs/reason.hpp"
 
-#include <stdexcept>
-
 namespace ecs {
 
 std::string to_string(ReasonCode reason) {
@@ -48,40 +46,6 @@ std::string to_string(ReasonCode reason) {
       return "admission-deadline-infeasible";
   }
   return "unknown";
-}
-
-namespace {
-
-constexpr ReasonCode kAllReasons[] = {
-    ReasonCode::kUnspecified,
-    ReasonCode::kProjectedBestCompletion,
-    ReasonCode::kQueuedBehindPriority,
-    ReasonCode::kGreedyBestStretch,
-    ReasonCode::kGreedySwitchMarginHold,
-    ReasonCode::kGreedyWaitForOwnResource,
-    ReasonCode::kSrptShortestRemaining,
-    ReasonCode::kSrptWaitForOwnResource,
-    ReasonCode::kDeadlineFeasibleLocal,
-    ReasonCode::kDeadlineInfeasibleOnEdge,
-    ReasonCode::kFcfsArrivalOrder,
-    ReasonCode::kEdgeOnlyEdf,
-    ReasonCode::kFixedAssignment,
-    ReasonCode::kFailoverBlacklist,
-    ReasonCode::kFailoverBackoff,
-    ReasonCode::kFailoverCrashEvacuation,
-    ReasonCode::kFailoverDegradeToEdge,
-    ReasonCode::kAdmissionQueueFull,
-    ReasonCode::kAdmissionStretchHopeless,
-    ReasonCode::kAdmissionDeadlineInfeasible,
-};
-
-}  // namespace
-
-ReasonCode parse_reason_code(const std::string& name) {
-  for (ReasonCode r : kAllReasons) {
-    if (to_string(r) == name) return r;
-  }
-  throw std::invalid_argument("unknown reason code: " + name);
 }
 
 ReasonCode reason_from_int(int value) noexcept {

@@ -65,9 +65,6 @@ enum class ReasonCode : std::uint8_t {
 /// Stable snake-case name for logs, explain output and JSON.
 [[nodiscard]] std::string to_string(ReasonCode reason);
 
-/// Inverse of to_string; throws std::invalid_argument on unknown names.
-[[nodiscard]] ReasonCode parse_reason_code(const std::string& name);
-
 /// Int -> enum with range check (for trace readers); out-of-range values
 /// map to kUnspecified so old tools keep reading new traces.
 [[nodiscard]] ReasonCode reason_from_int(int value) noexcept;

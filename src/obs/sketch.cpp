@@ -3,17 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace ecs::obs {
+namespace {
 
-QuantileSketch::QuantileSketch(double alpha) : alpha_(alpha) {
-  if (!(alpha > 0.0) || !(alpha < 1.0)) {
-    throw std::invalid_argument("QuantileSketch: alpha must be in (0, 1)");
-  }
-  gamma_ = (1.0 + alpha) / (1.0 - alpha);
-  inv_log_gamma_ = 1.0 / std::log(gamma_);
+constexpr double kGamma =
+    (1.0 + QuantileSketch::kAlpha) / (1.0 - QuantileSketch::kAlpha);
+const double kInvLogGamma = 1.0 / std::log(kGamma);
+
+int bucket_index(double value) {
+  // ceil(log_gamma(v)): bucket i covers (gamma^(i-1), gamma^i].
+  return static_cast<int>(std::ceil(std::log(value) * kInvLogGamma));
 }
+
+double bucket_value(int index) {
+  // Midpoint of (gamma^(i-1), gamma^i]: within (1 ± alpha) of any member.
+  return 2.0 * std::pow(kGamma, index) / (kGamma + 1.0);
+}
+
+}  // namespace
 
 void QuantileSketch::clear() {
   zero_count_ = 0;
@@ -23,16 +31,6 @@ void QuantileSketch::clear() {
   sum_ = 0.0;
   min_ = 0.0;
   max_ = 0.0;
-}
-
-int QuantileSketch::bucket_index(double value) const {
-  // ceil(log_gamma(v)): bucket i covers (gamma^(i-1), gamma^i].
-  return static_cast<int>(std::ceil(std::log(value) * inv_log_gamma_));
-}
-
-double QuantileSketch::bucket_value(int index) const {
-  // Midpoint of (gamma^(i-1), gamma^i]: within (1 ± alpha) of any member.
-  return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
 }
 
 void QuantileSketch::observe(double value) {
@@ -67,10 +65,6 @@ void QuantileSketch::observe(double value) {
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
-  if (alpha_ != other.alpha_) {
-    throw std::invalid_argument(
-        "QuantileSketch::merge: incompatible alphas");
-  }
   if (other.count_ == 0) return;
   if (count_ == 0) {
     min_ = other.min_;

@@ -15,8 +15,10 @@
 // adds bucket counts position-wise and is exact: merge order, like
 // observation order, cannot change any estimate.
 //
-// Memory is one std::uint64_t per non-empty bucket span: values across
-// 18 decades fit in a few thousand buckets at alpha = 0.01.
+// alpha is fixed at 1% (kAlpha): p99 of a 10k-job stretch distribution
+// lands within 1% of the exact value, and every sketch shares one bucket
+// grid, so any two merge. Memory is one std::uint64_t per non-empty bucket
+// span: values across 18 decades fit in a few thousand buckets.
 #pragma once
 
 #include <cstdint>
@@ -26,11 +28,8 @@ namespace ecs::obs {
 
 class QuantileSketch {
  public:
-  /// `alpha`: relative accuracy, in (0, 1). Defaults to 1% — p99 of a
-  /// 10k-job stretch distribution lands within 1% of the exact value.
-  explicit QuantileSketch(double alpha = kDefaultAlpha);
-
-  static constexpr double kDefaultAlpha = 0.01;
+  /// Relative accuracy of every quantile estimate.
+  static constexpr double kAlpha = 0.01;
   /// Values in [0, kMinTrackable] collapse into the exact zero bucket
   /// (relative error is meaningless at 0; queue depth is often 0).
   static constexpr double kMinTrackable = 1e-12;
@@ -42,17 +41,14 @@ class QuantileSketch {
   /// bookkeeping but not bucketed.
   void observe(double value);
 
-  /// Adds another sketch's observations, exactly. Throws
-  /// std::invalid_argument when the alphas differ (their buckets are
-  /// incompatible).
+  /// Adds another sketch's observations, exactly.
   void merge(const QuantileSketch& other);
 
   /// Estimate of the q-quantile (q in [0, 1]), within relative error
-  /// alpha(). Returns 0 when empty. q = 0 / q = 1 return the exact
+  /// kAlpha. Returns 0 when empty. q = 0 / q = 1 return the exact
   /// observed min / max.
   [[nodiscard]] double quantile(double q) const;
 
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double mean() const noexcept {
@@ -69,12 +65,6 @@ class QuantileSketch {
   void clear();
 
  private:
-  [[nodiscard]] int bucket_index(double value) const;
-  [[nodiscard]] double bucket_value(int index) const;
-
-  double alpha_;
-  double gamma_;
-  double inv_log_gamma_;  ///< 1 / ln(gamma), cached for bucket_index
   std::uint64_t zero_count_ = 0;
   /// counts_[i] holds bucket (offset_ + i); dense between the extreme
   /// non-empty buckets.

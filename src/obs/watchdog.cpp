@@ -35,9 +35,6 @@ std::string to_string(InvariantKind kind) {
   return "?";
 }
 
-InvariantWatchdog::InvariantWatchdog(int provenance_depth)
-    : depth_(std::max(provenance_depth, 0)) {}
-
 void InvariantWatchdog::begin_trace(const TraceMeta& meta) {
   meta_ = meta;
   const std::size_t pe = static_cast<std::size_t>(std::max(meta.edge_count, 0));
@@ -107,21 +104,20 @@ InvariantWatchdog::Tail& InvariantWatchdog::tail(std::vector<Tail>& tails,
 }
 
 void InvariantWatchdog::remember_provenance(const ProvenanceRecord& rec) {
-  if (depth_ == 0 || rec.job < 0) return;
+  if (rec.job < 0) return;
   const std::int64_t idx = job_index(rec.job);
   if (idx < 0) return;  // job already retired past the window
   std::vector<ProvenanceRecord>& ring = rings_[idx];
-  if (ring.size() < static_cast<std::size_t>(depth_)) {
-    // One allocation per job, not one per doubling on the way to depth_.
-    if (ring.empty()) ring.reserve(static_cast<std::size_t>(depth_));
+  if (ring.size() < kProvenanceDepth) {
+    // One allocation per job, not one per doubling on the way to the depth.
+    if (ring.empty()) ring.reserve(kProvenanceDepth);
     ring.push_back(rec);
-    ring_next_[idx] = static_cast<std::uint32_t>(ring.size()) %
-                      static_cast<std::uint32_t>(depth_);
+    ring_next_[idx] =
+        static_cast<std::uint32_t>(ring.size()) % kProvenanceDepth;
     return;
   }
   ring[ring_next_[idx]] = rec;
-  ring_next_[idx] =
-      (ring_next_[idx] + 1U) % static_cast<std::uint32_t>(depth_);
+  ring_next_[idx] = (ring_next_[idx] + 1U) % kProvenanceDepth;
 }
 
 void InvariantWatchdog::append_ring(JobId job,
@@ -134,7 +130,7 @@ void InvariantWatchdog::append_ring(JobId job,
   // Oldest first: the ring wraps at ring_next_ once full.
   const std::size_t n = ring.size();
   const std::size_t start =
-      n < static_cast<std::size_t>(depth_) ? 0 : ring_next_[idx];
+      n < kProvenanceDepth ? 0 : ring_next_[idx];
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(ring[(start + i) % n]);
   }

@@ -75,10 +75,6 @@ struct InvariantViolation {
 
 class InvariantWatchdog final : public TraceSink {
  public:
-  /// `provenance_depth`: how many recent provenance records to retain per
-  /// job for linking into violations (0 disables linking).
-  explicit InvariantWatchdog(int provenance_depth = 4);
-
   void begin_trace(const TraceMeta& meta) override;
   void record(const TraceRecord& rec) override;
   void end_trace(Time makespan) override;
@@ -149,15 +145,19 @@ class InvariantWatchdog final : public TraceSink {
   void remember_provenance(const ProvenanceRecord& rec);
   void append_ring(JobId job, std::vector<ProvenanceRecord>& out) const;
 
-  int depth_;
+  /// How many recent provenance records each job keeps for linking into
+  /// its violations.
+  static constexpr std::uint32_t kProvenanceDepth = 4;
+
   std::vector<Tail> edge_cpu_, edge_send_, edge_recv_;
   std::vector<Tail> cloud_cpu_, cloud_send_, cloud_recv_;
   /// Windowed per-job arrays: entry `i` (i >= job_start_) describes job id
   /// job_base_ + (i - job_start_). Entries of completed / refused jobs are
   /// compacted away once they form the window prefix.
   std::vector<JobState> jobs_;
-  /// Per-job ring of the last `depth_` provenance records, chronological
-  /// order reconstructed via `ring_next_` (the slot to overwrite next).
+  /// Per-job ring of the last kProvenanceDepth provenance records,
+  /// chronological order reconstructed via `ring_next_` (the slot to
+  /// overwrite next).
   std::vector<std::vector<ProvenanceRecord>> rings_;
   std::vector<std::uint32_t> ring_next_;
   JobId job_base_ = 0;        ///< id of the first window entry

@@ -199,14 +199,6 @@ class Policy {
   /// alias any state the policy reads.
   virtual void decide(const SimView& view, const std::vector<Event>& events,
                       std::vector<Directive>& out) = 0;
-
-  /// Convenience for tests and tools: decide() into a fresh vector.
-  [[nodiscard]] std::vector<Directive> decide_copy(
-      const SimView& view, const std::vector<Event>& events) {
-    std::vector<Directive> out;
-    decide(view, events, out);
-    return out;
-  }
 };
 
 }  // namespace ecs

@@ -268,29 +268,10 @@ void save_faulty_instance(std::ostream& out, const Instance& instance,
   save_fault_plan(out, plan);
 }
 
-void save_faulty_instance_file(const std::string& path,
-                               const Instance& instance,
-                               const FaultPlan& plan) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("trace_io: cannot open for writing: " + path);
-  }
-  save_faulty_instance(out, instance, plan);
-}
-
 std::pair<Instance, FaultPlan> load_faulty_instance(std::istream& in) {
   FaultPlan plan;
   Instance instance = load_instance_impl(in, &plan);
   return {std::move(instance), std::move(plan)};
-}
-
-std::pair<Instance, FaultPlan> load_faulty_instance_file(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("trace_io: cannot open for reading: " + path);
-  }
-  return load_faulty_instance(in);
 }
 
 void save_metrics_csv(std::ostream& out, const Instance& instance,

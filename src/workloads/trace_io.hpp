@@ -46,14 +46,9 @@ void save_fault_plan(std::ostream& out, const FaultPlan& plan);
 /// replayable description of a faulty run.
 void save_faulty_instance(std::ostream& out, const Instance& instance,
                           const FaultPlan& plan);
-void save_faulty_instance_file(const std::string& path,
-                               const Instance& instance,
-                               const FaultPlan& plan);
 
 [[nodiscard]] std::pair<Instance, FaultPlan> load_faulty_instance(
     std::istream& in);
-[[nodiscard]] std::pair<Instance, FaultPlan> load_faulty_instance_file(
-    const std::string& path);
 
 /// Writes per-job results: id, alloc, completion, response, stretch.
 void save_metrics_csv(std::ostream& out, const Instance& instance,

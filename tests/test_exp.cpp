@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -249,12 +250,12 @@ TEST(Runner, UnknownPolicyThrows) {
 }
 
 TEST(Sweep, ReplicationSeedsAreDistinct) {
-  const std::uint64_t a = sweep_seed(42, -1, "x", 0);
-  const std::uint64_t b = sweep_seed(42, -1, "x", 1);
-  const std::uint64_t c = sweep_seed(42, -1, "y", 0);
+  const std::uint64_t a = sweep_seed(42, 0, "x", 0);
+  const std::uint64_t b = sweep_seed(42, 0, "x", 1);
+  const std::uint64_t c = sweep_seed(42, 0, "y", 0);
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(a, sweep_seed(42, -1, "x", 0));
+  EXPECT_EQ(a, sweep_seed(42, 0, "x", 0));
 }
 
 TEST(Sweep, AggregatesAllReplications) {
@@ -290,17 +291,13 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Sweep, SweepSeedMixesThePointIndex) {
-  // Backward compatibility: index -1 IS the historical (base, label,
-  // replication) derivation, pinned to the value it has always produced.
-  EXPECT_EQ(sweep_seed(42, -1, "x", 3), 3633416980360997971u);
+  // Pinned to the value the bench sweeps have always drawn point 0 from.
+  EXPECT_EQ(sweep_seed(42, 0, "x", 3), 3258294975474811625u);
   // Same label at different sweep points must draw distinct seed streams —
   // the collision two points whose values format identically used to hit.
   const std::uint64_t p0 = sweep_seed(42, 0, "0.50", 0);
   const std::uint64_t p1 = sweep_seed(42, 1, "0.50", 0);
-  const std::uint64_t no_index = sweep_seed(42, -1, "0.50", 0);
   EXPECT_NE(p0, p1);
-  EXPECT_NE(p0, no_index);
-  EXPECT_NE(p1, no_index);
   // Deterministic, and still distinct across replications and bases.
   EXPECT_EQ(p0, sweep_seed(42, 0, "0.50", 0));
   EXPECT_NE(p0, sweep_seed(42, 0, "0.50", 1));
@@ -321,7 +318,6 @@ std::vector<PolicyAggregate> reference_point(
         sweep_seed(options.base_seed, options.point_index, label, rep);
     const Instance instance = factory(seed);
     RunOptions run_options;
-    run_options.engine = options.engine;
     if (options.fault_factory) {
       run_options.engine.faults = options.fault_factory(instance, seed);
     }
@@ -446,6 +442,23 @@ TEST(Sweep, RejectsReplicationsBelowOne) {
           << e.what();
     }
   }
+}
+
+/// Every sweep point has an index: a negative one fails, naming the value,
+/// before any world runs.
+TEST(Sweep, NegativePointIndexThrows) {
+  const auto factory = [](std::uint64_t seed) { return tiny_instance(seed); };
+  SweepOptions options;
+  options.replications = 2;
+  options.point_index = -1;
+  try {
+    (void)run_sweep_point("p", factory, {"srpt"}, options);
+    FAIL() << "point_index = -1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("got -1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)sweep_seed(42, -3, "x", 0), std::invalid_argument);
 }
 
 /// parse_common on the given flags (argv[0] is supplied).
@@ -582,26 +595,25 @@ TEST(BenchBundle, HoldsEveryArtifactOfTheTracedRun) {
   }
 }
 
-/// An unknown --log-level throws like every other bad flag, so the bench
-/// programs report it through guarded_main (`error: ...`, exit 1).
-TEST(BenchFlags, UnknownLogLevelThrows) {
-  EXPECT_NE(parse_error("--log-level=bogus").find("--log-level 'bogus'"),
-            std::string::npos);
-  // The argv form of the google-benchmark main strips the flag it reads
-  // and leaves the others for benchmark::Initialize.
+/// The google-benchmark main strips the flags it reads (extract_arg) and
+/// leaves the others for benchmark::Initialize; a bare flag is present
+/// with an empty value, which ecs_microbench then rejects.
+TEST(BenchFlags, ExtractArgStripsOnlyItsFlag) {
   std::vector<std::string> storage = {"microbench", "--benchmark_list_tests",
-                                      "--log-level=bogus"};
+                                      "--json-out=rows.json",
+                                      "--profile-out="};
   std::vector<char*> argv;
   for (std::string& arg : storage) argv.push_back(arg.data());
   int argc = static_cast<int>(argv.size());
-  try {
-    bench::apply_log_level_argv(argc, argv.data());
-    ADD_FAILURE() << "--log-level=bogus was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--log-level 'bogus'"),
-              std::string::npos)
-        << e.what();
-  }
+  EXPECT_EQ(bench::extract_arg(argc, argv.data(), "--json-out="),
+            std::optional<std::string>("rows.json"));
+  EXPECT_EQ(bench::extract_arg(argc, argv.data(), "--profile-out="),
+            std::optional<std::string>(""));
+  EXPECT_EQ(argc, 2);
+  EXPECT_STREQ(argv[1], "--benchmark_list_tests");
+  // An absent flag yields nullopt and leaves argv as it is.
+  EXPECT_EQ(bench::extract_arg(argc, argv.data(), "--json-out="),
+            std::nullopt);
   EXPECT_EQ(argc, 2);
   EXPECT_STREQ(argv[1], "--benchmark_list_tests");
 }

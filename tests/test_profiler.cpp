@@ -254,29 +254,28 @@ TEST(ProfilerReport, BatchDriverMergesPerSlotProfiles) {
 
 // --- 4. Heartbeats: stderr-only, coherent counters. -----------------------
 
-TEST(Heartbeat, EmitsTextAndJsonl) {
-  std::ostringstream text;
-  std::ostringstream jsonl;
-  obs::HeartbeatMonitor monitor(0.0, &text, &jsonl);
+TEST(Heartbeat, EmitsOneStderrLinePerBeat) {
+  obs::HeartbeatMonitor monitor(0.0);
+  testing::internal::CaptureStderr();
   for (int i = 0; i < 1024; ++i) {
     monitor.tick(static_cast<double>(i), static_cast<std::uint64_t>(2 * i),
                  7, 1);
   }
   monitor.flush();
+  const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_GE(monitor.beats(), 3u);
-  EXPECT_NE(text.str().find("[heartbeat"), std::string::npos);
 
-  // Every JSONL line is one well-formed object with the documented keys.
-  std::istringstream lines(jsonl.str());
+  // Every line is one beat carrying the last tick's counts.
+  std::istringstream lines(err);
   std::string line;
-  std::size_t parsed = 0;
+  std::size_t beats = 0;
   while (std::getline(lines, line)) {
-    const obs::json::Value doc = obs::json::parse(line);
-    EXPECT_NE(doc.find("wall_s"), nullptr);
-    EXPECT_NE(doc.find("events"), nullptr);
-    ++parsed;
+    EXPECT_EQ(line.rfind("[heartbeat +", 0), 0U) << line;
+    EXPECT_NE(line.find(" events="), std::string::npos) << line;
+    EXPECT_NE(line.find(" live=7 refused=1"), std::string::npos) << line;
+    ++beats;
   }
-  EXPECT_EQ(parsed, monitor.beats());
+  EXPECT_EQ(beats, monitor.beats());
 }
 
 TEST(Heartbeat, NeverWritesToStdout) {

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -32,7 +31,7 @@ void expect_quantile_within(const obs::QuantileSketch& sketch,
   const double lo = sorted[static_cast<std::size_t>(std::floor(rank))];
   const double hi = sorted[static_cast<std::size_t>(std::ceil(rank))];
   const double estimate = sketch.quantile(q);
-  const double alpha = sketch.alpha();
+  const double alpha = obs::QuantileSketch::kAlpha;
   EXPECT_GE(estimate, lo * (1.0 - alpha) - 1e-12) << "q = " << q;
   EXPECT_LE(estimate, hi * (1.0 + alpha) + 1e-12) << "q = " << q;
 }
@@ -96,7 +95,7 @@ TEST(Sketch, MatchesExactStretchPercentileOn10kJobInstance) {
     // relative bound (stretch >= 1, so relative tolerance is well-defined).
     const double exact = outcome.metrics.stretch_percentile(q);
     EXPECT_NEAR(sketch.quantile(q), exact,
-                (sketch.alpha() + 1e-3) * exact + 1e-9)
+                (obs::QuantileSketch::kAlpha + 1e-3) * exact + 1e-9)
         << "q = " << q;
   }
 }
@@ -126,18 +125,6 @@ TEST(Sketch, MergeOfWorkerShardsEqualsSingleSketch) {
   }
 }
 
-TEST(Sketch, MergeRejectsMismatchedAlpha) {
-  obs::QuantileSketch coarse(0.05);
-  obs::QuantileSketch fine(0.01);
-  coarse.observe(1.0);
-  EXPECT_THROW(fine.merge(coarse), std::invalid_argument);
-  // Merging an empty same-alpha sketch is a no-op, not an error.
-  obs::QuantileSketch other(0.01);
-  fine.observe(2.0);
-  fine.merge(other);
-  EXPECT_EQ(fine.count(), 1u);
-}
-
 TEST(Sketch, ZeroNegativeAndNonFiniteInputs) {
   obs::QuantileSketch sketch;
   sketch.observe(0.0);
@@ -149,8 +136,6 @@ TEST(Sketch, ZeroNegativeAndNonFiniteInputs) {
   EXPECT_DOUBLE_EQ(sketch.max(), obs::QuantileSketch::kMinTrackable / 2.0);
   sketch.observe(std::numeric_limits<double>::quiet_NaN());
   EXPECT_EQ(sketch.count(), 3u);  // NaN has no rank; dropped entirely
-  EXPECT_THROW(obs::QuantileSketch{0.0}, std::invalid_argument);
-  EXPECT_THROW(obs::QuantileSketch{1.0}, std::invalid_argument);
 }
 
 TEST(Sketch, MergeWithEmptyIsIdentityBothDirections) {
@@ -267,7 +252,6 @@ TEST(Sketch, MergedShardsKeepRelativeErrorBound) {
   obs::QuantileSketch merged;
   for (const obs::QuantileSketch& shard : shards) merged.merge(shard);
   ASSERT_EQ(merged.count(), values.size());
-  EXPECT_DOUBLE_EQ(merged.alpha(), obs::QuantileSketch::kDefaultAlpha);
   for (const double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
     expect_quantile_within(merged, values, q);
   }

@@ -30,15 +30,15 @@
 //
 // The trace, metrics and profile files come from a run bundle
 // (`ecs_bench <scenario> --bundle=DIR`, see docs/OBSERVABILITY.md). A usage
-// or input error prints one `error: ...` line and exits 1; a violation
-// found by --check exits 3.
+// or input error prints one `error: ...` line and exits 1, and so does an
+// empty trace (before any output) or one without its end line (after the
+// report); a violation found by --check exits 3.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -50,7 +50,6 @@
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "util/args.hpp"
-#include "util/log.hpp"
 
 namespace {
 
@@ -192,16 +191,6 @@ void replay(const obs::JsonlTrace& trace, obs::TraceSink& sink) {
 /// The program: returns its exit status, and throws on a usage or input
 /// error (main prints it).
 int inspect(const Args& args) {
-  const std::string level_name = args.get_or("log-level", "");
-  if (!level_name.empty()) {
-    const std::optional<LogLevel> level = parse_log_level(level_name);
-    if (!level) {
-      throw std::invalid_argument("unknown --log-level '" + level_name +
-                                  "' (expected debug, info, warn or error)");
-    }
-    set_log_level(*level);
-  }
-
   std::string trace_path = args.get_or("trace", "");
   if (trace_path.empty() && !args.positional().empty()) {
     trace_path = args.positional().front();
@@ -237,6 +226,7 @@ int inspect(const Args& args) {
   }
 
   int status = 0;
+  bool incomplete = false;
   if (!trace_path.empty()) {
     obs::JsonlTrace trace;
     try {
@@ -245,6 +235,13 @@ int inspect(const Args& args) {
       throw std::runtime_error("cannot parse " + trace_path + ": " +
                                e.what());
     }
+    // A sink writes the meta line first, so a trace without one (a bundle
+    // whose run failed) holds nothing to report.
+    if (trace.meta.policy.empty() && trace.records.empty() &&
+        !trace.complete) {
+      throw std::runtime_error(trace_path + ": empty trace");
+    }
+    incomplete = !trace.complete;
 
     std::printf("trace %s\n", trace_path.c_str());
     std::printf("  policy %s, %d edge(s), %d cloud(s), %d job(s)\n",
@@ -400,6 +397,11 @@ int inspect(const Args& args) {
     if (!trace_path.empty() || !metrics_path.empty()) std::printf("\n");
     print_profile(profile_path);
   }
+  // A run cut short still gets its report, then fails unless --check
+  // already failed it with a violation.
+  if (incomplete && status == 0) {
+    throw std::runtime_error(trace_path + ": incomplete trace (no end line)");
+  }
   return status;
 }
 
@@ -409,6 +411,7 @@ int main(int argc, char** argv) {
   try {
     return inspect(Args::parse(argc, argv));
   } catch (const std::exception& e) {
+    std::fflush(stdout);  // the report of a truncated trace comes first
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
